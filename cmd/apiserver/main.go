@@ -15,7 +15,8 @@
 //	curl :8088/debug/vars     # expvar JSON
 //	curl :8088/debug/pprof/   # runtime profiles
 //
-// The pre-/v1 unversioned paths still answer (with a Deprecation header).
+// API routes live under /v1 only; an unversioned path such as /pods answers
+// 404.
 //
 // With -state-dir the control plane is durable: every accepted mutation is
 // journaled to a write-ahead log before it executes, folded into a snapshot

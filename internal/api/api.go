@@ -16,9 +16,7 @@
 //	GET  /v1/state            persistence (snapshot/WAL) status
 //	POST /v1/advance          {"ms": 60000} — run the simulation forward
 //
-// Every route is also reachable at its legacy unversioned path; those
-// aliases answer identically but add a "Deprecation: true" header and a
-// Link to the /v1 successor. Errors share one envelope,
+// Unversioned paths are not served. Errors share one envelope,
 // {"error": "...", "code": N}, which api.StatusError round-trips.
 //
 // Concurrency contract: the simulation is single-threaded, so mutations
@@ -201,8 +199,7 @@ func (s *Server) SetHarvest(h *harvest.Controller) {
 	s.mu.Unlock()
 }
 
-// routes is the full surface: every entry is served under /v1 and at its
-// legacy unversioned alias. The label is the metrics path template.
+// routes is the full /v1 surface. The label is the metrics path template.
 func (s *Server) routes() []struct {
 	path, label string
 	h           http.HandlerFunc
@@ -211,36 +208,23 @@ func (s *Server) routes() []struct {
 		path, label string
 		h           http.HandlerFunc
 	}{
-		{"/pods", "/pods", s.handlePods},
-		{"/pods/", "/pods/{name}", s.handlePod},
-		{"/nodes", "/nodes", s.handleNodes},
-		{"/qos", "/qos", s.handleQoS},
-		{"/events", "/events", s.handleEvents},
-		{"/harvest", "/harvest", s.handleHarvest},
-		{"/state", "/state", s.handleState},
-		{"/advance", "/advance", s.handleAdvance},
+		{"/v1/pods", "/v1/pods", s.handlePods},
+		{"/v1/pods/", "/v1/pods/{name}", s.handlePod},
+		{"/v1/nodes", "/v1/nodes", s.handleNodes},
+		{"/v1/qos", "/v1/qos", s.handleQoS},
+		{"/v1/events", "/v1/events", s.handleEvents},
+		{"/v1/harvest", "/v1/harvest", s.handleHarvest},
+		{"/v1/state", "/v1/state", s.handleState},
+		{"/v1/advance", "/v1/advance", s.handleAdvance},
 	}
 }
 
-// deprecated wraps a legacy-alias handler with the RFC 8594-style headers
-// pointing clients at the /v1 successor.
-func deprecated(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=%q", successor, "successor-version"))
-		h(w, r)
-	}
-}
-
-// Handler returns the route table: /v1 plus legacy aliases, every route
-// instrumented with the api_* request metrics (versioned and legacy paths
-// count separately).
+// Handler returns the /v1 route table, every route instrumented with the
+// api_* request metrics.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, rt := range s.routes() {
-		mux.Handle("/v1"+rt.path, instrument("/v1"+rt.label, rt.h))
-		successor := "/v1" + strings.TrimSuffix(rt.path, "/")
-		mux.Handle(rt.path, instrument(rt.label, deprecated(successor, rt.h)))
+		mux.Handle(rt.path, instrument(rt.label, rt.h))
 	}
 	return mux
 }
@@ -519,7 +503,7 @@ func (s *Server) handlePod(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	name := strings.TrimPrefix(strings.TrimPrefix(r.URL.Path, "/v1"), "/pods/")
+	name := strings.TrimPrefix(r.URL.Path, "/v1/pods/")
 	sn := s.currentSnapshot()
 	i, ok := sn.podIndex[name]
 	if !ok {

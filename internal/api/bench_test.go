@@ -39,14 +39,14 @@ func newListBenchServer(b *testing.B, n int) *Server {
 	return s
 }
 
-// BenchmarkAPIListPods10k measures a cold GET /pods over 10k pods: one full
+// BenchmarkAPIListPods10k measures a cold GET /v1/pods over 10k pods: one full
 // snapshot rebuild (status conversion + sort.Slice + event log walk) plus
 // JSON encoding. The version bump each iteration forces the rebuild — the
 // worst case a read can hit.
 func BenchmarkAPIListPods10k(b *testing.B) {
 	s := newListBenchServer(b, 10_000)
 	h := s.Handler()
-	req := httptest.NewRequest("GET", "/pods", nil)
+	req := httptest.NewRequest("GET", "/v1/pods", nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.version.Add(1)
@@ -63,7 +63,7 @@ func BenchmarkAPIListPods10k(b *testing.B) {
 func BenchmarkAPIListPodsCached(b *testing.B) {
 	s := newListBenchServer(b, 10_000)
 	h := s.Handler()
-	req := httptest.NewRequest("GET", "/pods", nil)
+	req := httptest.NewRequest("GET", "/v1/pods", nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req) // warm the snapshot
 	b.ResetTimer()

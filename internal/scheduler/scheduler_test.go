@@ -2,11 +2,13 @@ package scheduler
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"kubeknots/internal/cluster"
 	"kubeknots/internal/k8s"
 	"kubeknots/internal/knots"
+	"kubeknots/internal/obs"
 	"kubeknots/internal/sim"
 	"kubeknots/internal/workloads"
 )
@@ -50,6 +52,120 @@ func (r *rig) place(g *cluster.GPU, profile string, reserve float64) *cluster.Co
 		panic(err)
 	}
 	return c
+}
+
+// algo1Scenario builds a cluster of the given shape with residents spread
+// over every third device (so free memory, correlation behaviour, and SM
+// load differ per candidate), warms six seconds of telemetry, and returns a
+// pending queue long enough to force several same-round commits.
+func algo1Scenario(nodes, gpusPerNode, pods int) (*rig, *knots.Snapshot, []*k8s.Pod) {
+	cfg := cluster.DefaultConfig()
+	cfg.Nodes = nodes
+	cfg.GPUsPerNode = gpusPerNode
+	cl := cluster.New(cfg)
+	mon := knots.NewMonitor(cl, 0)
+	o := k8s.NewOrchestrator(sim.NewEngine(2), cl, Uniform{}, k8s.Config{})
+	r := &rig{cl: cl, mon: mon, agg: knots.NewAggregator(mon), eng: sim.NewEngine(1), o: o}
+	for i, g := range cl.GPUs() {
+		switch i % 3 {
+		case 0:
+			r.place(g, workloads.KMeans, 500+float64(i)*10)
+		case 1:
+			r.place(g, workloads.Myocyte, 3000)
+		}
+	}
+	snap := r.warm(6 * sim.Second)
+	names := workloads.RodiniaNames()
+	var queue []*k8s.Pod
+	for i := 0; i < pods; i++ {
+		if i%4 == 3 {
+			m := workloads.Inference(workloads.InferenceNames()[i%6])
+			queue = append(queue, r.pod(m.QueryProfile(8+i%32, false)))
+		} else {
+			queue = append(queue, r.pod(workloads.RodiniaProfile(names[i%len(names)])))
+		}
+	}
+	return r, snap, queue
+}
+
+// schedRun is one scheduler invocation's observable output: the decision
+// list and the full decision-trace records.
+type schedRun struct {
+	decs []k8s.Decision
+	recs []obs.DecisionRecord
+}
+
+// traceable is a scheduler that accepts a decision tracer (CBP, PP).
+type traceable interface {
+	k8s.Scheduler
+	obs.DecisionTraceable
+}
+
+// runTraced schedules one round on s with a fresh buffer tracer attached.
+func runTraced(s traceable, queue []*k8s.Pod, snap *knots.Snapshot) schedRun {
+	buf := obs.NewBufTracer()
+	s.SetDecisionTracer(buf)
+	return schedRun{s.Schedule(snap.At, queue, snap), buf.Records()}
+}
+
+// requireSameRun asserts got reproduces want exactly: identical decisions
+// (same pods, same devices, same reservations, in the same order) and
+// identical candidate traces.
+func requireSameRun(t *testing.T, want, got schedRun) {
+	t.Helper()
+	if len(got.decs) != len(want.decs) {
+		t.Fatalf("decision count = %d, want %d", len(got.decs), len(want.decs))
+	}
+	for i := range want.decs {
+		w, g := want.decs[i], got.decs[i]
+		if w.Pod != g.Pod || w.GPU != g.GPU || w.ReserveMB != g.ReserveMB ||
+			w.Reject != g.Reject || w.Reason != g.Reason {
+			t.Fatalf("decision %d diverged:\n got %+v\nwant %+v", i, g, w)
+		}
+	}
+	if !reflect.DeepEqual(got.recs, want.recs) {
+		for i := range want.recs {
+			if i < len(got.recs) && !reflect.DeepEqual(got.recs[i], want.recs[i]) {
+				t.Fatalf("trace record %d diverged:\n got %+v\nwant %+v", i, got.recs[i], want.recs[i])
+			}
+		}
+		t.Fatalf("trace records diverged: got %d records, want %d", len(got.recs), len(want.recs))
+	}
+}
+
+// TestScheduleReusedInstance pins the hot-path scratch reuse: one CBP and
+// one PP instance schedule three rounds over snapshots and queues of
+// different sizes, and every round must match a fresh instance's decisions
+// and decision traces exactly, so no buffer carries state across planner
+// resets.
+func TestScheduleReusedInstance(t *testing.T) {
+	_, bigSnap, bigQueue := algo1Scenario(6, 2, 14)
+	_, smallSnap, smallQueue := algo1Scenario(5, 1, 10)
+	rounds := []struct {
+		snap  *knots.Snapshot
+		queue []*k8s.Pod
+	}{
+		{bigSnap, bigQueue},
+		{bigSnap, bigQueue[:7]}, // same fleet size: the order must be rebuilt, not reused
+		{smallSnap, smallQueue},
+	}
+	reusedCBP, reusedPP := &CBP{}, &PP{}
+	for round, rd := range rounds {
+		for _, tc := range []struct {
+			reused traceable
+			fresh  traceable
+		}{
+			{reusedCBP, &CBP{}},
+			{reusedPP, &PP{}},
+		} {
+			want := runTraced(tc.fresh, rd.queue, rd.snap)
+			if len(want.decs) == 0 {
+				t.Fatalf("round %d: %s places nothing; the comparison is vacuous", round, tc.fresh.Name())
+			}
+			got := runTraced(tc.reused, rd.queue, rd.snap)
+			requireSameRun(t, want, got)
+		}
+	}
 }
 
 func TestUniformExclusive(t *testing.T) {

@@ -36,9 +36,8 @@ func TestConcurrentWritersReaders(t *testing.T) {
 					}
 				}
 				db.Last(name)
-				db.LastN(name, 17)
 				db.Values(name, 100, 500)
-				db.Downsample(name, 0, sim.Time(points), 50)
+				db.DownsampleInto(nil, name, 0, sim.Time(points), 50)
 				db.SeriesNames()
 				db.Len(name)
 			}
@@ -96,7 +95,7 @@ func TestContendedSeriesRingInvariants(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				pts := db.LastN("hot", capacity)
+				pts := db.Window("hot", 0, sim.Time(1<<62))
 				if len(pts) > capacity {
 					t.Errorf("ring overflow: %d > %d", len(pts), capacity)
 					return

@@ -73,17 +73,6 @@ func (s *series) window(from, to sim.Time) []Point {
 	return s.windowAppend(make([]Point, 0, hi-lo), from, to)
 }
 
-func (s *series) lastN(n int) []Point {
-	if n > s.n {
-		n = s.n
-	}
-	out := make([]Point, 0, n)
-	for i := s.n - n; i < s.n; i++ {
-		out = append(out, s.at(i))
-	}
-	return out
-}
-
 // DB is a multi-series time-series store.
 type DB struct {
 	mu       sync.RWMutex
@@ -133,20 +122,6 @@ func (db *DB) Window(name string, from, to sim.Time) []Point {
 	return s.window(from, to)
 }
 
-// WindowAppend appends the points of name with from ≤ At ≤ to onto dst,
-// oldest first, and returns the extended slice. Pass a reused scratch slice
-// (dst[:0]) to read windows without allocating; dst only grows when the
-// window exceeds its capacity.
-func (db *DB) WindowAppend(dst []Point, name string, from, to sim.Time) []Point {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	s := db.data[name]
-	if s == nil {
-		return dst
-	}
-	return s.windowAppend(dst, from, to)
-}
-
 // Values returns just the sample values of Window, for feeding statistics.
 func (db *DB) Values(name string, from, to sim.Time) []float64 {
 	db.mu.RLock()
@@ -194,17 +169,6 @@ func (db *DB) Last(name string) (Point, bool) {
 	return s.at(s.n - 1), true
 }
 
-// LastN returns up to n most recent points of name, oldest first.
-func (db *DB) LastN(name string, n int) []Point {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	s := db.data[name]
-	if s == nil || n <= 0 {
-		return nil
-	}
-	return s.lastN(n)
-}
-
 // Len returns the number of retained points in name.
 func (db *DB) Len(name string) int {
 	db.mu.RLock()
@@ -228,21 +192,12 @@ func (db *DB) SeriesNames() []string {
 	return names
 }
 
-// Downsample buckets the window [from, to] into fixed-width buckets and
-// returns one mean-valued point per non-empty bucket, stamped at the bucket
-// start. The aggregator uses this to vary the effective heartbeat without
-// re-sampling the cluster (Fig. 10b's interval sweep).
-func (db *DB) Downsample(name string, from, to, bucket sim.Time) []Point {
-	out := db.DownsampleInto(nil, name, from, to, bucket)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// DownsampleInto is Downsample appending onto dst — the caller-buffer variant
-// for per-heartbeat window extraction. The buckets are computed straight off
-// the ring buffer, so a warm scratch slice makes the whole read zero-alloc.
+// DownsampleInto buckets the window [from, to] into fixed-width buckets and
+// appends one mean-valued point per non-empty bucket onto dst, stamped at the
+// bucket start; bucket ≤ 0 appends the raw window. The aggregator uses this
+// to vary the effective heartbeat without re-sampling the cluster (Fig. 10b's
+// interval sweep). The buckets are computed straight off the ring buffer, so
+// a warm scratch slice (dst[:0]) makes the whole read zero-alloc.
 func (db *DB) DownsampleInto(dst []Point, name string, from, to, bucket sim.Time) []Point {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

@@ -80,23 +80,6 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
-func TestLastN(t *testing.T) {
-	db := New(8)
-	for i := 0; i < 6; i++ {
-		db.Append("m", sim.Time(i), float64(i*i))
-	}
-	pts := db.LastN("m", 3)
-	if len(pts) != 3 || pts[0].At != 3 || pts[2].At != 5 {
-		t.Fatalf("LastN = %+v", pts)
-	}
-	if got := db.LastN("m", 100); len(got) != 6 {
-		t.Fatalf("LastN over-length = %d points, want 6", len(got))
-	}
-	if db.LastN("m", 0) != nil || db.LastN("nope", 3) != nil {
-		t.Fatal("LastN edge cases should be nil")
-	}
-}
-
 func TestSeriesNamesSorted(t *testing.T) {
 	db := New(4)
 	db.Append("z", 1, 1)
@@ -114,9 +97,9 @@ func TestDownsample(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		db.Append("m", sim.Time(i*5), float64(i))
 	}
-	pts := db.Downsample("m", 0, 45, 10)
+	pts := db.DownsampleInto(nil, "m", 0, 45, 10)
 	if len(pts) != 5 {
-		t.Fatalf("Downsample buckets = %d, want 5", len(pts))
+		t.Fatalf("DownsampleInto buckets = %d, want 5", len(pts))
 	}
 	if pts[0].Value != 0.5 || pts[0].At != 0 {
 		t.Fatalf("bucket 0 = %+v, want mean 0.5 at t=0", pts[0])
@@ -125,11 +108,11 @@ func TestDownsample(t *testing.T) {
 		t.Fatalf("bucket 4 mean = %v, want 8.5", pts[4].Value)
 	}
 	// bucket <= 0 falls back to the raw window
-	if got := db.Downsample("m", 0, 45, 0); len(got) != 10 {
+	if got := db.DownsampleInto(nil, "m", 0, 45, 0); len(got) != 10 {
 		t.Fatalf("bucket=0 should return raw points, got %d", len(got))
 	}
-	if db.Downsample("none", 0, 45, 10) != nil {
-		t.Fatal("unknown series should be nil")
+	if got := db.DownsampleInto(nil, "none", 0, 45, 10); len(got) != 0 {
+		t.Fatalf("unknown series should append nothing, got %+v", got)
 	}
 }
 
@@ -137,7 +120,7 @@ func TestDownsampleSkipsEmptyBuckets(t *testing.T) {
 	db := New(100)
 	db.Append("m", 0, 1)
 	db.Append("m", 95, 2) // buckets 1..8 empty
-	pts := db.Downsample("m", 0, 100, 10)
+	pts := db.DownsampleInto(nil, "m", 0, 100, 10)
 	if len(pts) != 2 {
 		t.Fatalf("expected 2 non-empty buckets, got %d: %+v", len(pts), pts)
 	}
@@ -219,34 +202,6 @@ func fillRandom(rng *rand.Rand, n, capacity int) *DB {
 	return db
 }
 
-func TestWindowAppendMatchesWindow(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	scratch := make([]Point, 0, 8) // deliberately small: must grow transparently
-	for trial := 0; trial < 50; trial++ {
-		db := fillRandom(rng, 1+rng.Intn(60), 32) // wraps the ring on big fills
-		from := sim.Time(rng.Intn(120))
-		to := from + sim.Time(rng.Intn(120))
-		want := db.Window("m", from, to)
-		scratch = db.WindowAppend(scratch[:0], "m", from, to)
-		if len(scratch) != len(want) {
-			t.Fatalf("trial %d: WindowAppend len %d, Window len %d", trial, len(scratch), len(want))
-		}
-		for i := range want {
-			if scratch[i] != want[i] {
-				t.Fatalf("trial %d point %d: %+v != %+v", trial, i, scratch[i], want[i])
-			}
-		}
-	}
-	if got := db0WindowAppendUnknown(); got != 0 {
-		t.Fatalf("unknown series should leave dst empty, got %d points", got)
-	}
-}
-
-func db0WindowAppendUnknown() int {
-	db := New(4)
-	return len(db.WindowAppend(nil, "absent", 0, 100))
-}
-
 func TestValuesIntoMatchesValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	scratch := make([]float64, 0, 4)
@@ -267,7 +222,10 @@ func TestValuesIntoMatchesValues(t *testing.T) {
 	}
 }
 
-func TestDownsampleIntoMatchesDownsample(t *testing.T) {
+// TestDownsampleIntoScratchMatchesFresh pins scratch reuse: appending into a
+// reused, deliberately small buffer yields exactly the points a fresh read
+// returns.
+func TestDownsampleIntoScratchMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	scratch := make([]Point, 0, 4)
 	for trial := 0; trial < 50; trial++ {
@@ -275,10 +233,10 @@ func TestDownsampleIntoMatchesDownsample(t *testing.T) {
 		from := sim.Time(rng.Intn(100))
 		to := from + sim.Time(rng.Intn(150))
 		bucket := sim.Time(rng.Intn(20)) // includes 0: the raw-window fallback
-		want := db.Downsample("m", from, to, bucket)
+		want := db.DownsampleInto(nil, "m", from, to, bucket)
 		scratch = db.DownsampleInto(scratch[:0], "m", from, to, bucket)
 		if len(scratch) != len(want) {
-			t.Fatalf("trial %d (bucket %d): DownsampleInto len %d, Downsample len %d",
+			t.Fatalf("trial %d (bucket %d): scratch read len %d, fresh read len %d",
 				trial, bucket, len(scratch), len(want))
 		}
 		for i := range want {
