@@ -275,8 +275,9 @@ func BenchmarkCBPScheduleRound(b *testing.B) {
 }
 
 func BenchmarkAggregatorSnapshot(b *testing.B) {
-	// Worst case for the incremental aggregator: every node is sampled
-	// between snapshots, so every per-node cache is dirty and rebuilt.
+	// One heartbeat of head-node work as the simulator runs it: every node
+	// is sampled, then the aggregator re-reads every node's window into its
+	// reused snapshot arenas.
 	cl := cluster.New(cluster.DefaultConfig())
 	mon := knots.NewMonitor(cl, 0)
 	// Warm every series with a window of heartbeats so Snapshot walks real
@@ -287,53 +288,6 @@ func BenchmarkAggregatorSnapshot(b *testing.B) {
 		mon.Sample(now)
 	}
 	agg := knots.NewAggregator(mon)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		now += 100 * sim.Millisecond
-		mon.Sample(now)
-		agg.Snapshot(now)
-	}
-}
-
-func BenchmarkAggregatorSnapshotReplay(b *testing.B) {
-	// Best case: nothing changed since the last snapshot, so every node is
-	// served from its cache (the same-instant replay the scheduler hits
-	// when it snapshots more often than the monitor samples).
-	cl := cluster.New(cluster.DefaultConfig())
-	mon := knots.NewMonitor(cl, 0)
-	now := sim.Time(0)
-	for hb := 0; hb < 100; hb++ {
-		now += 100 * sim.Millisecond
-		mon.Sample(now)
-	}
-	agg := knots.NewAggregator(mon)
-	agg.Snapshot(now)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		agg.Snapshot(now)
-	}
-}
-
-func BenchmarkAggregatorSnapshotDirtyFew(b *testing.B) {
-	// O(dirty-nodes) case: a 32-node cluster where only node 0 reports each
-	// heartbeat (the rest are down, their databases empty), so every
-	// snapshot rebuilds one node and replays 31 from cache.
-	cfg := cluster.DefaultConfig()
-	cfg.Nodes = 32
-	cl := cluster.New(cfg)
-	mon := knots.NewMonitor(cl, 0)
-	for n := 1; n < cfg.Nodes; n++ {
-		mon.SetNodeDown(n, true)
-	}
-	now := sim.Time(0)
-	for hb := 0; hb < 100; hb++ {
-		now += 100 * sim.Millisecond
-		mon.Sample(now)
-	}
-	agg := knots.NewAggregator(mon)
-	agg.Snapshot(now)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -1,18 +1,23 @@
 // Command benchjson converts `go test -bench` text output into a stable JSON
 // document, so benchmark baselines can be committed and diffed:
 //
-//	go test -run '^$' -bench . -benchtime 1x -benchmem | benchjson > BENCH_baseline.json
+//	go test -run '^$' -bench . -benchtime 1x -count 5 -benchmem | benchjson > BENCH_baseline.json
 //
 // Each benchmark becomes one object with the standard measurements broken out
 // (ns/op, B/op, allocs/op) and every custom b.ReportMetric value under
 // "metrics". Results are sorted by name and carry no timestamps or host
 // details, so re-running on the same machine produces a minimal diff.
 //
+// Repeated lines of one benchmark (go test -count N) fold into a single
+// result: ns/op, B/op, allocs/op and each custom metric are the median of
+// their own samples, so one slow sample neither lands in the baseline nor
+// fails the gate.
+//
 // With -baseline, benchjson instead diffs the fresh run against a committed
 // baseline and exits non-zero when ns/op or allocs/op regresses by more than
 // -threshold (a fraction; 0.25 = 25%):
 //
-//	go test -run '^$' -bench . -benchtime 1x -benchmem |
+//	go test -run '^$' -bench . -benchtime 1x -count 5 -benchmem |
 //	    benchjson -baseline BENCH_baseline.json -threshold 0.25 -match Schedule,Ablation
 package main
 
@@ -39,7 +44,8 @@ type Result struct {
 }
 
 // parseBench reads `go test -bench` output and returns the benchmark results
-// sorted by name. Non-benchmark lines (PASS, ok, goos, ...) are ignored.
+// sorted by name, one per benchmark (repeated samples folded by medians).
+// Non-benchmark lines (PASS, ok, goos, ...) are ignored.
 func parseBench(r io.Reader) ([]Result, error) {
 	var out []Result
 	sc := bufio.NewScanner(r)
@@ -84,7 +90,66 @@ func parseBench(r io.Reader) ([]Result, error) {
 		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
+	return foldMedians(out), nil
+}
+
+// foldMedians merges each run of same-named results (sorted input) into one
+// whose every measure is the median of that measure's samples.
+func foldMedians(rs []Result) []Result {
+	var out []Result
+	for i := 0; i < len(rs); {
+		j := i + 1
+		for j < len(rs) && rs[j].Name == rs[i].Name {
+			j++
+		}
+		out = append(out, medianOf(rs[i:j]))
+		i = j
+	}
+	return out
+}
+
+func medianOf(rs []Result) Result {
+	if len(rs) == 1 {
+		return rs[0]
+	}
+	pick := func(get func(Result) float64) float64 {
+		xs := make([]float64, len(rs))
+		for i, r := range rs {
+			xs[i] = get(r)
+		}
+		return median(xs)
+	}
+	out := Result{
+		Name:        rs[0].Name,
+		Iterations:  int64(pick(func(r Result) float64 { return float64(r.Iterations) })),
+		NsPerOp:     pick(func(r Result) float64 { return r.NsPerOp }),
+		BytesPerOp:  pick(func(r Result) float64 { return r.BytesPerOp }),
+		AllocsPerOp: pick(func(r Result) float64 { return r.AllocsPerOp }),
+	}
+	samples := map[string][]float64{}
+	for _, r := range rs {
+		for unit, v := range r.Metrics {
+			samples[unit] = append(samples[unit], v)
+		}
+	}
+	for unit, xs := range samples {
+		if out.Metrics == nil {
+			out.Metrics = map[string]float64{}
+		}
+		out.Metrics[unit] = median(xs)
+	}
+	return out
+}
+
+// median sorts xs in place and returns its middle value (the mean of the
+// two middle values for an even count).
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // trimProcSuffix drops the -GOMAXPROCS suffix (BenchmarkFig9-8 → BenchmarkFig9)

@@ -121,3 +121,38 @@ func TestRunDiffThreshold(t *testing.T) {
 		t.Fatal("speedup must never fail the gate")
 	}
 }
+
+// repeated is `go test -count 3` output: one slow ns/op outlier, one noisy
+// alloc count, and a custom metric that varies per sample.
+const repeated = `BenchmarkA-2   	       1	    100000 ns/op	        7.00 util	  2048 B/op	      10 allocs/op
+BenchmarkB-2   	       1	      5000 ns/op
+BenchmarkA-2   	       1	    900000 ns/op	        5.00 util	  4096 B/op	      12 allocs/op
+BenchmarkA-2   	       1	    110000 ns/op	        6.00 util	  1024 B/op	      10 allocs/op
+BenchmarkB-2   	       1	      7000 ns/op
+`
+
+func TestParseBenchFoldsRepeatsToMedian(t *testing.T) {
+	got, err := parseBench(strings.NewReader(repeated))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("parsed %d results, want one per benchmark: %+v", len(got), got)
+	}
+	a, b := got[0], got[1]
+	if a.Name != "BenchmarkA" || a.Iterations != 1 || a.NsPerOp != 110000 || a.BytesPerOp != 2048 || a.AllocsPerOp != 10 {
+		t.Fatalf("A = %+v, want per-measure medians", a)
+	}
+	if a.Metrics["util"] != 6 {
+		t.Fatalf("A util = %v, want 6", a.Metrics["util"])
+	}
+	if b.Name != "BenchmarkB" || b.NsPerOp != 6000 {
+		t.Fatalf("B = %+v, want the mean of its two middle samples (6000 ns/op)", b)
+	}
+	// The outlier sample alone is 8× the baseline; the median is within 25%.
+	base := []Result{{Name: "BenchmarkA", NsPerOp: 100000, AllocsPerOp: 10}}
+	var sb strings.Builder
+	if runDiff(&sb, base, got, nil, 0.25) {
+		t.Fatalf("one slow sample failed the gate:\n%s", sb.String())
+	}
+}

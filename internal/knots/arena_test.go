@@ -11,8 +11,8 @@ import (
 // eqSnapshots asserts two snapshots describe identical cluster state:
 // same devices in the same order with the same observations, reservations,
 // residents, metric series, staleness, and dead-node list. Slice *backing*
-// is allowed to differ (the incremental aggregator serves cached arenas);
-// only content counts.
+// is allowed to differ (a long-lived aggregator reuses warm arenas); only
+// content counts.
 func eqSnapshots(t *testing.T, label string, want, got *Snapshot) {
 	t.Helper()
 	if want.At != got.At {
@@ -58,25 +58,23 @@ func eqSnapshots(t *testing.T, label string, want, got *Snapshot) {
 	}
 }
 
-// TestIncrementalSnapshotMatchesFresh drives one long-lived aggregator (its
-// per-node caches warm and reused) against a throwaway fresh aggregator at
-// every step of a scenario that exercises all the dirty sources: sampling,
+// TestSnapshotArenaReuseMatchesFresh drives one long-lived aggregator (its
+// snapshot arenas warm and reused) against a throwaway fresh aggregator at
+// every step of a scenario that changes what the arenas hold: sampling,
 // partial sampling (down nodes), bindings between heartbeats, GPU failures
-// and restores, stale and dead liveness transitions, window decay at
-// unsampled times, and a config change.
-func TestIncrementalSnapshotMatchesFresh(t *testing.T) {
+// and restores, stale and dead liveness transitions, and window decay at
+// unsampled times.
+func TestSnapshotArenaReuseMatchesFresh(t *testing.T) {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = 6
 	cfg.GPUsPerNode = 2
 	cl := cluster.New(cfg)
 	mon := NewMonitor(cl, 0)
-	live := &Aggregator{Monitor: mon, Window: DefaultWindow, MaxPoints: DefaultMaxPoints,
-		StaleAfter: 300 * sim.Millisecond, DeadAfter: 900 * sim.Millisecond}
+	live := &Aggregator{Monitor: mon, StaleAfter: 300 * sim.Millisecond, DeadAfter: 900 * sim.Millisecond}
 
 	check := func(label string, now sim.Time) {
 		t.Helper()
-		fresh := &Aggregator{Monitor: mon, Window: live.Window, MaxPoints: live.MaxPoints,
-			StaleAfter: live.StaleAfter, DeadAfter: live.DeadAfter}
+		fresh := &Aggregator{Monitor: mon, StaleAfter: live.StaleAfter, DeadAfter: live.DeadAfter}
 		eqSnapshots(t, label, fresh.Snapshot(now), live.Snapshot(now))
 	}
 
@@ -111,60 +109,16 @@ func TestIncrementalSnapshotMatchesFresh(t *testing.T) {
 			mon.SetNodeDown(2, false) // back from the dead
 		case 24:
 			gpus[5].Remove(gpus[5].Containers()[0]) // unbinding
-		case 28:
-			live.MaxPoints = 16 // config change must invalidate everything
 		}
 		mon.Sample(now)
 		check("after-sample", now)
-		// A second snapshot at the same instant must be a pure replay.
+		// A second snapshot at the same instant rebuilds over the arenas
+		// the first one filled.
 		check("same-instant", now)
 		// Querying later without sampling exercises window decay and the
 		// stale/dead clocks (real deployments snapshot on their own timer).
 		if i%5 == 0 {
 			check("decayed", now+230*sim.Millisecond)
 		}
-	}
-}
-
-// TestSnapshotCacheHitsWhenIdle pins the O(dirty-nodes) claim: with only
-// one of many nodes being sampled, every other node must be served from
-// its cache (after the first build) when nothing about it changes.
-func TestSnapshotCacheHitsWhenIdle(t *testing.T) {
-	cfg := cluster.DefaultConfig()
-	cfg.Nodes = 8
-	cl := cluster.New(cfg)
-	mon := NewMonitor(cl, 0)
-	// All nodes down except node 0: their databases stay empty, so their
-	// cached (series-free) stats remain exact at any later time.
-	for n := 1; n < cfg.Nodes; n++ {
-		mon.SetNodeDown(n, true)
-	}
-	agg := NewAggregator(mon)
-	var now sim.Time
-	for i := 0; i < 10; i++ {
-		now += 100 * sim.Millisecond
-		cl.Tick(now, 100*sim.Millisecond)
-		mon.Sample(now)
-		snap := agg.Snapshot(now)
-		if len(snap.Stats) != cfg.Nodes {
-			t.Fatalf("stats = %d, want %d", len(snap.Stats), cfg.Nodes)
-		}
-	}
-	// Idle GPUs eventually sleep, changing Obs.Asleep — tick once more
-	// without state change, then count rebuilds over further snapshots.
-	rebuilds0 := mNodeRebuilds.Value()
-	hits0 := mNodeCacheHits.Value()
-	for i := 0; i < 5; i++ {
-		now += 100 * sim.Millisecond
-		mon.Sample(now) // only node 0 is sampled
-		agg.Snapshot(now)
-	}
-	rebuilds := mNodeRebuilds.Value() - rebuilds0
-	hits := mNodeCacheHits.Value() - hits0
-	if rebuilds != 5 {
-		t.Fatalf("rebuilds = %v, want 5 (only the sampled node each heartbeat)", rebuilds)
-	}
-	if hits != 5*float64(cfg.Nodes-1) {
-		t.Fatalf("cache hits = %v, want %v", hits, 5*float64(cfg.Nodes-1))
 	}
 }

@@ -80,7 +80,6 @@ type Monitor struct {
 	down       map[int]bool
 	lastSample map[int]sim.Time
 	lastObs    map[*cluster.GPU]cluster.Observation
-	seq        map[int]uint64 // per-node append sequence; bumps on every sample
 }
 
 // NewMonitor creates a monitor with one node-local DB per node; capacity is
@@ -93,7 +92,6 @@ func NewMonitor(cl *cluster.Cluster, capacity int) *Monitor {
 		down:       make(map[int]bool),
 		lastSample: make(map[int]sim.Time),
 		lastObs:    make(map[*cluster.GPU]cluster.Observation),
-		seq:        make(map[int]uint64),
 	}
 	for _, g := range cl.GPUs() {
 		if m.dbs[g.Node] == nil {
@@ -128,11 +126,9 @@ func (m *Monitor) Sample(now sim.Time) {
 		}
 		db := m.dbs[g.Node]
 		o := g.Obs
-		// keys is immutable after construction, so lock-free reads are safe.
+		// keys is immutable after construction and covers every device
+		// (Cluster.GPUs is fixed at cluster.New), so lock-free reads are safe.
 		k := m.keys[g]
-		if k == nil {
-			k = newGPUKeys(g)
-		}
 		db.Append(k.sm, now, o.SMPct)
 		db.Append(k.mem, now, o.MemUsedMB)
 		db.Append(k.power, now, o.PowerW)
@@ -140,19 +136,8 @@ func (m *Monitor) Sample(now sim.Time) {
 		db.Append(k.rx, now, o.RxMBps)
 		m.lastSample[g.Node] = now
 		m.lastObs[g] = o
-		m.seq[g.Node]++
 		mGPUSamples.Inc()
 	}
-}
-
-// SampleSeq returns a node's append sequence number: it advances every time
-// the node is sampled, so an unchanged sequence guarantees the node's
-// databases hold exactly the points they held before. The aggregator's
-// per-node dirty tracking keys off it.
-func (m *Monitor) SampleSeq(node int) uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.seq[node]
 }
 
 // SetNodeDown marks one node's monitor down (true) or back up (false).
@@ -230,29 +215,9 @@ type Snapshot struct {
 	DeadNodes []int
 }
 
-// Active returns the stats of GPUs that are awake (the paper's scheduler
-// queries "all active GPU nodes ... excluding the GPUs which are in deep
-// sleep power state" — but placement may still wake a sleeping device, so
-// callers choose).
-func (s *Snapshot) Active() []GPUStat {
-	var out []GPUStat
-	for _, st := range s.Stats {
-		if !st.Obs.Asleep {
-			out = append(out, st)
-		}
-	}
-	return out
-}
-
 // Aggregator is the head-node utilization aggregator.
 type Aggregator struct {
 	Monitor *Monitor
-	// Window is the sliding query window (the paper uses five seconds).
-	Window sim.Time
-	// MaxPoints bounds each snapshot series by mean-downsampling the window
-	// (default 64) — the paper's "sliding window consists of few data
-	// points", which also keeps per-round scheduling cost flat.
-	MaxPoints int
 	// StaleAfter, when positive, marks a node's stats Stale once its last
 	// heartbeat is older than this (degraded-mode scheduling input).
 	StaleAfter sim.Time
@@ -271,81 +236,41 @@ type Aggregator struct {
 	curStale  map[int]bool
 	curDead   map[int]bool
 
-	// Snapshot arenas (see Snapshot): per-heartbeat cluster views are carved
-	// out of these reused backing slices instead of fresh allocations. The
-	// stats slice is reassembled every snapshot from the per-node caches;
-	// vals backs the series() convenience reads only.
+	// Snapshot arenas (see Snapshot): every per-heartbeat cluster view is
+	// carved out of these reused backing slices instead of fresh allocations.
 	stats []GPUStat
 	dead  []int
 	vals  []float64
-	pts   []tsdb.Point
-
-	// caches holds one entry per node with that node's last-built stats and
-	// their backing arenas. A node whose inputs are unchanged since the last
-	// snapshot (same sample sequence, same liveness category, no decayable
-	// series, same binding state) reuses its cached stats wholesale, making
-	// heartbeat cost proportional to *changed* nodes — see DESIGN.md §7.
-	caches map[int]*nodeCache
-}
-
-// nodeCache is one node's last-built snapshot contribution plus everything
-// needed to decide whether it is still exact.
-type nodeCache struct {
-	built   bool
-	builtAt sim.Time
-	seq     uint64   // Monitor.SampleSeq when built
-	window  sim.Time // Window/MaxPoints config the series were built with
-	maxPts  int
-	stale   bool
-	// hasSeries records whether any stat carries a non-empty metric series.
-	// Series content depends on the query time (the window slides), so a
-	// node with series is only reusable at the exact builtAt instant; a node
-	// with all-empty series stays empty at any later time unless it is
-	// sampled again (appends bump seq).
-	hasSeries bool
-
-	stats []GPUStat
-	vals  []float64
 	conts []*cluster.Container
+	pts   []tsdb.Point
 }
 
 // DefaultWindow is the paper's five-second scheduling window.
 const DefaultWindow = 5 * sim.Second
 
-// DefaultMaxPoints is the default snapshot series length.
+// DefaultMaxPoints sets the snapshot series resolution: the window is
+// mean-downsampled into buckets DefaultWindow/DefaultMaxPoints wide — the
+// paper's "sliding window consists of few data points", which also keeps
+// per-round scheduling cost flat. It does not cap the series length: the
+// integer bucket width tiles the closed window [now−DefaultWindow, now] with
+// one bucket to spare, so a densely sampled series has 65 points (78 ms
+// buckets over 5 s).
 const DefaultMaxPoints = 64
 
-// NewAggregator wraps a monitor with the default window.
+// snapshotBucket is the downsampling bucket width of every snapshot series.
+const snapshotBucket = DefaultWindow / DefaultMaxPoints
+
+// NewAggregator wraps a monitor.
 func NewAggregator(m *Monitor) *Aggregator {
-	return &Aggregator{Monitor: m, Window: DefaultWindow, MaxPoints: DefaultMaxPoints}
+	return &Aggregator{Monitor: m}
 }
 
-// series returns the (possibly downsampled) trailing window of one metric.
-func (a *Aggregator) series(g *cluster.GPU, metric string, now, w sim.Time) []float64 {
+// seriesInto appends the downsampled trailing window of one series onto the
+// value arena and returns the appended sub-slice, capacity-capped so later
+// arena growth cannot clobber it.
+func (a *Aggregator) seriesInto(db *tsdb.DB, key string, now sim.Time) []float64 {
 	start := len(a.vals)
-	a.seriesInto(g, metric, now, w)
-	out := make([]float64, len(a.vals)-start)
-	copy(out, a.vals[start:])
-	a.vals = a.vals[:start]
-	return out
-}
-
-// seriesInto appends the (possibly downsampled) trailing window of one metric
-// onto the aggregator's value arena and returns the appended sub-slice,
-// capacity-capped so later arena growth cannot be clobbered through it. The
-// sub-slice is valid until the next Snapshot call.
-func (a *Aggregator) seriesInto(g *cluster.GPU, metric string, now, w sim.Time) []float64 {
-	start := len(a.vals)
-	db := a.Monitor.NodeDB(g.Node)
-	if db == nil {
-		return nil
-	}
-	maxPts := a.MaxPoints
-	if maxPts <= 0 {
-		maxPts = DefaultMaxPoints
-	}
-	bucket := w / sim.Time(maxPts)
-	a.pts = db.DownsampleInto(a.pts[:0], a.Monitor.seriesKey(g, metric), now-w, now, bucket)
+	a.pts = db.DownsampleInto(a.pts[:0], key, now-DefaultWindow, now, snapshotBucket)
 	for _, p := range a.pts {
 		a.vals = append(a.vals, p.Value)
 	}
@@ -379,23 +304,14 @@ func (a *Aggregator) age(node int, now sim.Time) sim.Time {
 // copy. This keeps the per-heartbeat aggregation allocation-free once the
 // arenas are warm.
 func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
-	w := a.Window
-	if w <= 0 {
-		w = DefaultWindow
-	}
-	maxPts := a.MaxPoints
-	if maxPts <= 0 {
-		maxPts = DefaultMaxPoints
-	}
-	snap := &Snapshot{At: now}
 	a.stats = a.stats[:0]
 	a.dead = a.dead[:0]
+	a.vals = a.vals[:0]
+	a.conts = a.conts[:0]
 	deadSeen := clearNodeSet(a.curDead)
 	staleSeen := clearNodeSet(a.curStale)
-	if a.caches == nil {
-		a.caches = make(map[int]*nodeCache)
-	}
-	cl := a.Monitor.Cluster
+	m := a.Monitor
+	cl := m.Cluster
 	for node := 0; node < cl.Cfg.Nodes; node++ {
 		gpus := cl.NodeGPUs(node)
 		if len(gpus) == 0 {
@@ -412,26 +328,47 @@ func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
 			continue
 		}
 		stale := a.StaleAfter > 0 && age > a.StaleAfter
-		c := a.caches[node]
-		if c == nil {
-			c = &nodeCache{}
-			a.caches[node] = c
+		db := m.NodeDB(node)
+		for _, g := range gpus {
+			if g.Failed() {
+				continue
+			}
+			obs := g.Obs
+			if stale {
+				staleSeen[node] = true
+				// The head node only knows what the node last reported.
+				if last, ok := m.LastObs(g); ok {
+					obs = last
+				}
+			}
+			res0 := len(a.conts)
+			a.conts = append(a.conts, g.Containers()...)
+			st := GPUStat{
+				GPU: g,
+				Obs: obs,
+				// Reservations are head-node binding state, known even when
+				// the node's telemetry is not.
+				FreeReservableMB: g.FreeReservableMB(),
+				Resident:         a.conts[res0:len(a.conts):len(a.conts)],
+				MemSeries:        a.seriesInto(db, m.seriesKey(g, MetricMem), now),
+				SMSeries:         a.seriesInto(db, m.seriesKey(g, MetricSM), now),
+				Stale:            stale,
+			}
+			tx := a.seriesInto(db, m.seriesKey(g, MetricTx), now)
+			rx := a.seriesInto(db, m.seriesKey(g, MetricRx), now)
+			if len(tx) == len(rx) && len(tx) > 0 {
+				bw0 := len(a.vals)
+				for i := range tx {
+					a.vals = append(a.vals, tx[i]+rx[i])
+				}
+				st.BWSeries = a.vals[bw0:len(a.vals):len(a.vals)]
+			}
+			a.stats = append(a.stats, st)
 		}
-		if a.cacheValid(c, gpus, node, now, w, maxPts, stale) {
-			mNodeCacheHits.Inc()
-		} else {
-			a.rebuildNode(c, gpus, node, now, w, maxPts, stale)
-			mNodeRebuilds.Inc()
-		}
-		if stale && len(c.stats) > 0 {
-			staleSeen[node] = true
-		}
-		a.stats = append(a.stats, c.stats...)
 	}
-	snap.Stats = a.stats
-	snap.DeadNodes = a.dead[:len(a.dead):len(a.dead)]
-	if len(snap.DeadNodes) == 0 {
-		snap.DeadNodes = nil
+	snap := &Snapshot{At: now, Stats: a.stats}
+	if len(a.dead) > 0 {
+		snap.DeadNodes = a.dead[:len(a.dead):len(a.dead)]
 	}
 	// Count liveness boundary crossings (fresh→stale, live→dead) exactly
 	// once per transition. Pure telemetry: the snapshot itself is unchanged.
@@ -450,145 +387,6 @@ func (a *Aggregator) Snapshot(now sim.Time) *Snapshot {
 	a.curStale, a.prevStale = a.prevStale, staleSeen
 	a.curDead, a.prevDead = a.prevDead, deadSeen
 	return snap
-}
-
-// cacheValid reports whether a node's cached stats are exactly what a fresh
-// rebuild at now would produce. The checks, in increasing cost:
-//
-//   - config and liveness: same Window/MaxPoints, same stale category;
-//   - sampling: the monitor's append sequence is unchanged, so every series
-//     in the node's database holds exactly the points it held at build time;
-//   - window decay: a node with any non-empty series is only exact at the
-//     instant it was built (the sliding window moves with now); a node whose
-//     series were all empty stays empty until it is sampled again;
-//   - binding state: per device — same non-failed composition, same live
-//     Observation (fresh) or last-reported Observation (stale), same free
-//     reservable memory, and the same resident containers. These change via
-//     scheduler bindings, ticks, and failures, none of which touch the
-//     monitor's databases.
-//
-// Everything here is O(devices-per-node) struct compares — no window reads,
-// no downsampling, no allocation.
-func (a *Aggregator) cacheValid(c *nodeCache, gpus []*cluster.GPU, node int, now, w sim.Time, maxPts int, stale bool) bool {
-	if !c.built || c.window != w || c.maxPts != maxPts || c.stale != stale {
-		return false
-	}
-	if c.seq != a.Monitor.SampleSeq(node) {
-		return false
-	}
-	if c.hasSeries && c.builtAt != now {
-		return false
-	}
-	k := 0
-	for _, g := range gpus {
-		if g.Failed() {
-			continue
-		}
-		if k >= len(c.stats) {
-			return false
-		}
-		st := &c.stats[k]
-		if st.GPU != g {
-			return false
-		}
-		obs := g.Obs
-		if stale {
-			if last, ok := a.Monitor.LastObs(g); ok {
-				obs = last
-			}
-		}
-		if st.Obs != obs || st.FreeReservableMB != g.FreeReservableMB() {
-			return false
-		}
-		res := g.Containers()
-		if len(res) != len(st.Resident) {
-			return false
-		}
-		for i := range res {
-			if res[i] != st.Resident[i] {
-				return false
-			}
-		}
-		k++
-	}
-	return k == len(c.stats)
-}
-
-// rebuildNode rebuilds one node's snapshot contribution into its cache,
-// reusing the cache's arenas across rebuilds.
-func (a *Aggregator) rebuildNode(c *nodeCache, gpus []*cluster.GPU, node int, now, w sim.Time, maxPts int, stale bool) {
-	c.built = true
-	c.builtAt = now
-	c.seq = a.Monitor.SampleSeq(node)
-	c.window = w
-	c.maxPts = maxPts
-	c.stale = stale
-	c.hasSeries = false
-	c.stats = c.stats[:0]
-	c.vals = c.vals[:0]
-	c.conts = c.conts[:0]
-	for _, g := range gpus {
-		if g.Failed() {
-			continue
-		}
-		obs := g.Obs
-		if stale {
-			// The head node only knows what the node last reported.
-			if last, ok := a.Monitor.LastObs(g); ok {
-				obs = last
-			}
-		}
-		res0 := len(c.conts)
-		c.conts = append(c.conts, g.Containers()...)
-		st := GPUStat{
-			GPU: g,
-			Obs: obs,
-			// Reservations are head-node binding state, known even when the
-			// node's telemetry is not.
-			FreeReservableMB: g.FreeReservableMB(),
-			Resident:         c.conts[res0:len(c.conts):len(c.conts)],
-			MemSeries:        a.nodeSeriesInto(c, g, MetricMem, now, w, maxPts),
-			Stale:            stale,
-		}
-		st.SMSeries = a.nodeSeriesInto(c, g, MetricSM, now, w, maxPts)
-		tx := a.nodeSeriesInto(c, g, MetricTx, now, w, maxPts)
-		rx := a.nodeSeriesInto(c, g, MetricRx, now, w, maxPts)
-		if len(tx) == len(rx) {
-			bw0 := len(c.vals)
-			for i := range tx {
-				c.vals = append(c.vals, tx[i]+rx[i])
-			}
-			if len(c.vals) > bw0 {
-				st.BWSeries = c.vals[bw0:len(c.vals):len(c.vals)]
-			}
-		}
-		if len(st.MemSeries) > 0 || len(st.SMSeries) > 0 || len(tx) > 0 || len(rx) > 0 {
-			c.hasSeries = true
-		}
-		c.stats = append(c.stats, st)
-	}
-}
-
-// nodeSeriesInto appends the (possibly downsampled) trailing window of one
-// metric onto the node cache's value arena and returns the appended
-// sub-slice, capacity-capped so later arena growth cannot clobber it. The
-// sub-slice stays valid until the node's next rebuild — which is exactly as
-// long as the cache may serve it.
-func (a *Aggregator) nodeSeriesInto(c *nodeCache, g *cluster.GPU, metric string, now, w sim.Time, maxPts int) []float64 {
-	db := a.Monitor.NodeDB(g.Node)
-	if db == nil {
-		return nil
-	}
-	start := len(c.vals)
-	bucket := w / sim.Time(maxPts)
-	a.pts = db.DownsampleInto(a.pts[:0], a.Monitor.seriesKey(g, metric), now-w, now, bucket)
-	for _, p := range a.pts {
-		c.vals = append(c.vals, p.Value)
-	}
-	if len(c.vals) == start {
-		return nil
-	}
-	return c.vals[start:len(c.vals):len(c.vals)]
 }
 
 // clearNodeSet empties (or creates) a reusable node-ID set.

@@ -88,6 +88,28 @@ func TestAggregatorSnapshot(t *testing.T) {
 	}
 }
 
+// TestSnapshotSeriesLength pins the current snapshot series length: a 5 s
+// window cut into integer 78 ms buckets (DefaultWindow/DefaultMaxPoints)
+// over the closed interval [now−5s, now] yields 65 points at a 10 ms
+// heartbeat, one more than DefaultMaxPoints. Capping it at 64 would move
+// every correlation and forecast input, so a change here must be deliberate.
+func TestSnapshotSeriesLength(t *testing.T) {
+	cl := testCluster()
+	m := NewMonitor(cl, 0)
+	a := NewAggregator(m)
+	for now := sim.Time(0); now <= 8*sim.Second; now += 10 * sim.Millisecond {
+		cl.Tick(now, 10*sim.Millisecond)
+		m.Sample(now)
+	}
+	for _, st := range a.Snapshot(8 * sim.Second).Stats {
+		for name, s := range map[string][]float64{"mem": st.MemSeries, "sm": st.SMSeries, "bw": st.BWSeries} {
+			if len(s) != 65 {
+				t.Fatalf("%s %s series has %d points, want 65", st.GPU.ID(), name, len(s))
+			}
+		}
+	}
+}
+
 func TestSnapshotActiveExcludesSleeping(t *testing.T) {
 	cfg := cluster.DefaultConfig()
 	cfg.Nodes = 2
@@ -106,9 +128,19 @@ func TestSnapshotActiveExcludesSleeping(t *testing.T) {
 		cl.Tick(now, 100*sim.Millisecond)
 		m.Sample(now)
 	}
+	// Sleeping devices stay in the snapshot (placement may wake them), but
+	// only the busy one reads as awake — the paper's "active GPU nodes".
 	snap := a.Snapshot(3 * sim.Second)
-	active := snap.Active()
-	if len(active) != 1 || active[0].GPU != g {
-		t.Fatalf("Active = %d GPUs, want only the busy one", len(active))
+	if len(snap.Stats) != len(cl.GPUs()) {
+		t.Fatalf("stats = %d, want every GPU (%d)", len(snap.Stats), len(cl.GPUs()))
+	}
+	var awake []*cluster.GPU
+	for _, st := range snap.Stats {
+		if !st.Obs.Asleep {
+			awake = append(awake, st.GPU)
+		}
+	}
+	if len(awake) != 1 || awake[0] != g {
+		t.Fatalf("awake = %d GPUs, want only the busy one", len(awake))
 	}
 }

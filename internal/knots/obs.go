@@ -15,10 +15,6 @@ var (
 		"Nodes whose telemetry crossed the fresh-to-stale liveness boundary.")
 	mDeadTransitions = obs.Default().Counter("knots_dead_transitions_total",
 		"Nodes that missed the liveness deadline and dropped from snapshots.")
-	mNodeRebuilds = obs.Default().Counter("knots_snapshot_node_rebuilds_total",
-		"Per-node snapshot stats rebuilt because the node changed (dirty).")
-	mNodeCacheHits = obs.Default().Counter("knots_snapshot_node_cache_hits_total",
-		"Per-node snapshot stats reused unchanged from the previous heartbeat.")
 	mFetches = obs.Default().CounterVec("knots_remote_fetches_total",
 		"Remote worker stats queries by final result.", "result")
 	mFetchRetries = obs.Default().Counter("knots_remote_fetch_retries_total",
