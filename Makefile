@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench determinism clean
+.PHONY: all build test race vet bench determinism
 
 all: build test
 
@@ -30,38 +30,33 @@ bench:
 
 # Byte-identical experiment output with observability enabled vs disabled
 # and across pool widths: the determinism guarantees, checkable locally
-# before CI.
+# before CI. Every scratch output lands in one mktemp -d directory that is
+# removed on exit, so concurrent runs do not collide.
 determinism:
-	$(GO) test ./internal/experiments/ -run 'TestTracingDeterminism|TestTracedExportsStable' -count=1
-	$(GO) test ./cmd/kubeknots/ -run 'TestE2EGolden' -count=1
-	$(GO) test ./cmd/knotsctl/ -run 'TestTrace' -count=1
+	set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) test ./internal/experiments/ -run 'TestTracingDeterminism|TestTracedExportsStable' -count=1; \
+	$(GO) test ./cmd/kubeknots/ -run 'TestE2EGolden' -count=1; \
+	$(GO) test ./cmd/knotsctl/ -run 'TestTrace' -count=1; \
 	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 1 \
-		-spans-out /tmp/kk-spans-p1.jsonl fig9 > /tmp/kk-plain.txt
+		-spans-out $$tmp/spans-p1.jsonl fig9 > $$tmp/plain.txt; \
 	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 8 \
-		-trace-out /tmp/kk-decisions.jsonl -timeline-out /tmp/kk-timeline.json \
-		-spans-out /tmp/kk-spans-p8.jsonl fig9 > /tmp/kk-traced.txt
-	diff /tmp/kk-plain.txt /tmp/kk-traced.txt
-	diff /tmp/kk-spans-p1.jsonl /tmp/kk-spans-p8.jsonl
-	$(GO) test ./internal/experiments/ -run TestHarvestDisabledByteIdentical -count=1
+		-trace-out $$tmp/decisions.jsonl -timeline-out $$tmp/timeline.json \
+		-spans-out $$tmp/spans-p8.jsonl fig9 > $$tmp/traced.txt; \
+	diff $$tmp/plain.txt $$tmp/traced.txt; \
+	diff $$tmp/spans-p1.jsonl $$tmp/spans-p8.jsonl; \
+	$(GO) test ./internal/experiments/ -run TestHarvestDisabledByteIdentical -count=1; \
 	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 1 \
-		-harvest=false -watermark 0.5 -checkpoint-cost 1s fig9 > /tmp/kk-harvest-off.txt
-	diff /tmp/kk-plain.txt /tmp/kk-harvest-off.txt
-	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 1 fig-harvest > /tmp/kk-fh1.txt
-	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 8 fig-harvest > /tmp/kk-fh8.txt
-	diff /tmp/kk-fh1.txt /tmp/kk-fh8.txt
-	$(GO) test ./internal/experiments/ -run 'TestCrashRecovery|TestCrashSnapshot' -count=1
-	$(GO) test ./cmd/kubeknots/ -run TestE2ECrashRecovery -count=1
-	rm -rf /tmp/kk-state
+		-harvest=false -watermark 0.5 -checkpoint-cost 1s fig9 > $$tmp/harvest-off.txt; \
+	diff $$tmp/plain.txt $$tmp/harvest-off.txt; \
+	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 1 fig-harvest > $$tmp/fh1.txt; \
+	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 8 fig-harvest > $$tmp/fh8.txt; \
+	diff $$tmp/fh1.txt $$tmp/fh8.txt; \
+	$(GO) test ./internal/experiments/ -run 'TestCrashRecovery|TestCrashSnapshot' -count=1; \
+	$(GO) test ./cmd/kubeknots/ -run TestE2ECrashRecovery -count=1; \
 	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 1 \
-		-state-dir /tmp/kk-state -crash-at 10s fig9 > /dev/null 2>/tmp/kk-crash-err.txt || true
-	grep -q 'injected crash' /tmp/kk-crash-err.txt
+		-state-dir $$tmp/state -crash-at 10s fig9 > /dev/null 2>$$tmp/crash-err.txt || true; \
+	grep -q 'injected crash' $$tmp/crash-err.txt; \
 	$(GO) run ./cmd/kubeknots -horizon 30s -parallel 1 \
-		-state-dir /tmp/kk-state fig9 > /tmp/kk-recovered.txt
-	diff /tmp/kk-plain.txt /tmp/kk-recovered.txt
+		-state-dir $$tmp/state fig9 > $$tmp/recovered.txt; \
+	diff $$tmp/plain.txt $$tmp/recovered.txt
 	@echo determinism: tables and span JSONL identical with tracing on/off, -parallel 1 vs 8, harvest flags inert when disabled, crash-restart byte-identical
-
-clean:
-	rm -f /tmp/kk-plain.txt /tmp/kk-traced.txt /tmp/kk-decisions.jsonl /tmp/kk-timeline.json \
-		/tmp/kk-spans-p1.jsonl /tmp/kk-spans-p8.jsonl \
-		/tmp/kk-fh1.txt /tmp/kk-fh8.txt /tmp/kk-harvest-off.txt /tmp/kk-crash-err.txt /tmp/kk-recovered.txt
-	rm -rf /tmp/kk-state

@@ -19,13 +19,16 @@
 // 404.
 //
 // With -state-dir the control plane is durable: every accepted mutation is
-// journaled to a write-ahead log before it executes, folded into a snapshot
-// every -snapshot-every commands, and replayed on restart — a crash or
-// SIGKILL loses nothing, and the replay is byte-verified against the
-// snapshot's recorded state. Without -state-dir behaviour is unchanged.
+// appended to an fsynced command journal before it executes, a checkpoint
+// of the observable state is written every -snapshot-every commands, and
+// the journal is replayed on restart — a crash or SIGKILL loses no
+// acknowledged mutation, and the replay is byte-verified against the
+// checkpoint's recorded state. Without -state-dir behaviour is unchanged.
 //
 // SIGINT/SIGTERM shut the server down gracefully, draining in-flight
-// requests (and writing a final snapshot) before exiting.
+// requests (and writing a final checkpoint) before exiting. The log line
+// "listening on ADDR" names the bound address, so -addr 127.0.0.1:0 picks
+// a free port and reports it.
 package main
 
 import (
@@ -34,6 +37,7 @@ import (
 	"expvar"
 	"flag"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os/signal"
@@ -56,8 +60,8 @@ var (
 	drain  = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	hspec  = flag.String("harvest", "", `harvest controller spec, e.g. "on,watermark=0.85,checkpoint=true" ("" = disabled; keys: watermark headroom interval checkpoint cost priority max-preempt max-admit sm-ceiling qos-window)`)
 
-	stateDir  = flag.String("state-dir", "", "directory for snapshot + WAL durability (\"\" = no persistence)")
-	snapEvery = flag.Int("snapshot-every", 64, "commands between automatic snapshots (with -state-dir)")
+	stateDir  = flag.String("state-dir", "", "directory for checkpoint + journal durability (\"\" = no persistence)")
+	snapEvery = flag.Int("snapshot-every", 64, "commands between automatic checkpoints (with -state-dir)")
 )
 
 func main() {
@@ -119,15 +123,18 @@ func main() {
 	// longer pin a connection open indefinitely. Handler time (a long
 	// /advance) is unbounded on purpose, so no WriteTimeout.
 	hsrv := &http.Server{
-		Addr:              *addr,
 		Handler:           mux,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	errc := make(chan error, 1)
-	go func() { errc <- hsrv.ListenAndServe() }()
-	log.Printf("apiserver: %d nodes, %s scheduler, listening on %s", *nodes, s.Name(), *addr)
+	go func() { errc <- hsrv.Serve(ln) }()
+	log.Printf("apiserver: %d nodes, %s scheduler, listening on %s", *nodes, s.Name(), ln.Addr())
 
 	select {
 	case err := <-errc:
@@ -140,8 +147,8 @@ func main() {
 		if err := hsrv.Shutdown(sctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Fatalf("apiserver: shutdown: %v", err)
 		}
-		// Fold the journal into a final snapshot so the next start replays
-		// nothing. No-op without -state-dir.
+		// Write a final checkpoint, so the next start byte-verifies its
+		// replay of the whole journal. No-op without -state-dir.
 		if err := srv.Close(); err != nil {
 			log.Fatalf("apiserver: close state: %v", err)
 		}

@@ -11,7 +11,7 @@
 //	knotsctl advance 60s
 //	knotsctl bench -clients 16 -requests 200
 //	knotsctl trace [--pod P|--slowest N|--critical-path|--summary] spans.jsonl
-//	knotsctl state inspect|verify|compact <state-dir>
+//	knotsctl state inspect|verify <state-dir>
 package main
 
 import (
@@ -264,9 +264,9 @@ commands:
   trace [flags] <spans.jsonl>
                             query a span file from kubeknots -spans-out
                             (--pod, --slowest N, --critical-path, --summary)
-  state inspect|verify|compact <dir>
+  state inspect|verify <dir>
                             offline tools for a -state-dir: list its
-                            snapshots and WAL, byte-verify a replay against
-                            the recorded state, or fold the WAL into a
-                            fresh snapshot`)
+                            checkpoint, journal and snapshots, or replay
+                            the journal and byte-verify it against the
+                            checkpoint's recorded state`)
 }

@@ -28,10 +28,10 @@
 // blocking. /advance itself is single-flight: a second concurrent advance
 // fails fast with HTTP 409 rather than queueing behind the first.
 //
-// Durability: with a persist.Manager attached (see SetupPersistence /
-// Recover), every accepted mutation is appended to a write-ahead log
-// before it executes, and the full command history is periodically folded
-// into a snapshot. Without one, the server is byte-identical to the
+// Durability: with a persist.Manager attached (see Recover), every
+// accepted mutation is appended to the command journal (a write-ahead log)
+// before it executes, and a checkpoint of the observable state is written
+// periodically. Without one, the server is byte-identical to the
 // pre-persistence build.
 package api
 

@@ -3,20 +3,20 @@ package api
 import (
 	"fmt"
 
+	"kubeknots/internal/k8s"
 	"kubeknots/internal/persist"
 )
 
 // Recover attaches a persistence manager and replays its journal into the
-// freshly-constructed server: first the snapshot's command history, then
-// the WAL tail that accumulated after it. The orchestrator must be in its
-// just-built state (same Bootstrap the manager was opened with, nothing
-// submitted, clock at zero) — recovery re-executes every journaled command
-// and then byte-verifies the rebuilt state against the snapshot's, so any
-// divergence (a code change that altered simulation behaviour, a corrupted
-// journal) fails loudly here instead of silently forking history.
+// freshly-constructed server. The orchestrator must be in its just-built
+// state (same Bootstrap the manager was opened with, nothing submitted,
+// clock at zero): recovery re-executes every journaled command and
+// byte-verifies the rebuilt state against the checkpoint's on the way (see
+// persist.Manager.Resume), so any divergence fails loudly here instead of
+// silently forking history.
 //
-// On success the manager starts journaling and the server owns it; Close
-// the server (or the manager) on shutdown. Returns the number of commands
+// On success the manager is journaling and the server owns it; Close the
+// server (or the manager) on shutdown. Returns the number of commands
 // replayed.
 func (s *Server) Recover(m *persist.Manager) (int, error) {
 	s.mu.Lock()
@@ -24,39 +24,9 @@ func (s *Server) Recover(m *persist.Manager) (int, error) {
 	if s.persist != nil {
 		return 0, fmt.Errorf("api: persistence already attached")
 	}
-	snap, tail := m.Recovery()
-	replayed := 0
-	apply := func(recs []persist.Record) error {
-		for _, rec := range recs {
-			pod, err := persist.ApplyRecord(s.orch, rec)
-			if err != nil {
-				return fmt.Errorf("replay command %d: %w", replayed+1, err)
-			}
-			if pod != nil {
-				s.pods[pod.Name] = pod
-			}
-			replayed++
-		}
-		return nil
-	}
-	if snap != nil {
-		if err := apply(snap.Cmds); err != nil {
-			return replayed, err
-		}
-		// The snapshot's state section is the determinism check: replaying
-		// the same commands through today's binary must land on the exact
-		// bytes the snapshot recorded.
-		got := persist.CaptureState(s.orch, s.harvest)
-		if err := persist.VerifyState(got, snap.State); err != nil {
-			return replayed, fmt.Errorf("snapshot verification: %w", err)
-		}
-	}
-	if err := apply(tail); err != nil {
-		return replayed, err
-	}
-	persist.ReplayedMetric(replayed)
-	if err := m.StartJournal(); err != nil {
-		return replayed, fmt.Errorf("api: start journal: %w", err)
+	replayed, err := m.Resume(s.orch, s.harvest, func(pod *k8s.Pod) { s.pods[pod.Name] = pod })
+	if err != nil {
+		return replayed, fmt.Errorf("api: recover: %w", err)
 	}
 	s.persist = m
 	if replayed > 0 {
@@ -66,11 +36,10 @@ func (s *Server) Recover(m *persist.Manager) (int, error) {
 	return replayed, nil
 }
 
-// maybeSnapshotLocked folds the journal into a fresh snapshot when one is
-// due. Caller holds mu exclusively. Snapshot failures are recorded in the
+// maybeSnapshotLocked writes a fresh checkpoint when one is due. Caller
+// holds mu exclusively. Checkpoint failures are recorded in the
 // persist_errors_total metric but do not fail the request that triggered
-// them — the WAL still has every command, so durability is not lost, only
-// the next recovery's replay gets longer.
+// them: the journal still has every command, so durability is not lost.
 func (s *Server) maybeSnapshotLocked() {
 	if s.persist == nil || !s.persist.SnapshotDue() {
 		return
@@ -79,9 +48,10 @@ func (s *Server) maybeSnapshotLocked() {
 	_ = s.persist.WriteSnapshot(st)
 }
 
-// Close flushes and closes the attached persistence manager, writing a
-// final snapshot so the next start replays nothing. A server without
-// persistence closes as a no-op.
+// Close writes a final checkpoint and closes the attached persistence
+// manager. Replay on the next start still runs from the bootstrap; the
+// final checkpoint lets it byte-verify the whole history at its end. A
+// server without persistence closes as a no-op.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -513,12 +513,12 @@ func TestRecoverSurfacesJournalFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Yank the state dir between Open and Recover so StartJournal's
-	// open-for-append fails.
-	if err := os.RemoveAll(dir); err != nil {
+	// Put a directory where the WAL goes between Open and Recover: the
+	// first checkpoint still writes, the journal's open-for-append fails.
+	if err := os.Mkdir(filepath.Join(dir, "wal.kkw"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewServer(orch).Recover(mgr); err == nil {
-		t.Fatal("Recover swallowed the StartJournal failure")
+	if _, err := NewServer(orch).Recover(mgr); err == nil || !strings.Contains(err.Error(), "open wal") {
+		t.Fatalf("Recover swallowed the journal failure: %v", err)
 	}
 }

@@ -49,7 +49,7 @@ type FaultRate struct {
 // Enabled reports whether the domain injects anything.
 func (r FaultRate) Enabled() bool { return r.MTTF > 0 }
 
-// NetworkFault degrades the remote-stats path: every heartbeat is lost with
+// NetworkFault degrades the stats path: every heartbeat is lost with
 // probability ErrRate, and surviving samples are delayed by Latency (so the
 // head node's windows trail reality). The zero value is a healthy network.
 type NetworkFault struct {

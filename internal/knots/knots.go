@@ -141,7 +141,7 @@ func (m *Monitor) Sample(now sim.Time) {
 }
 
 // SetNodeDown marks one node's monitor down (true) or back up (false).
-// While down the node is not sampled and its NodeServer answers 503.
+// While down the node is not sampled.
 func (m *Monitor) SetNodeDown(node int, down bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

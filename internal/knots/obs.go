@@ -15,10 +15,4 @@ var (
 		"Nodes whose telemetry crossed the fresh-to-stale liveness boundary.")
 	mDeadTransitions = obs.Default().Counter("knots_dead_transitions_total",
 		"Nodes that missed the liveness deadline and dropped from snapshots.")
-	mFetches = obs.Default().CounterVec("knots_remote_fetches_total",
-		"Remote worker stats queries by final result.", "result")
-	mFetchRetries = obs.Default().Counter("knots_remote_fetch_retries_total",
-		"Remote stats query re-attempts after a transient failure.")
-	mFetchTimeouts = obs.Default().Counter("knots_remote_fetch_timeouts_total",
-		"Remote stats query attempts that hit their deadline.")
 )

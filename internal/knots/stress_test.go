@@ -79,167 +79,3 @@ func TestProfilerConcurrentObserveComplete(t *testing.T) {
 		t.Fatalf("upcoming series wrong: %v", st.UpcomingMem)
 	}
 }
-
-// TestRemoteStatsConcurrentFetch drives the HTTP monitoring path under load:
-// a sampler keeps appending heartbeats to the node-local stores while many
-// head-node aggregators fetch the full cluster view. Run under -race. The
-// final serial fetch must see every device and every metric series.
-func TestRemoteStatsConcurrentFetch(t *testing.T) {
-	const fetchers = 6
-	cl, mon, ra, closeAll := remoteRig(t, 3)
-	defer closeAll()
-
-	// Populate device state serially (cluster mutation is single-threaded by
-	// design); the concurrent phase only samples and reads.
-	prof := workloads.RodiniaProfile(workloads.KMeans)
-	c := &cluster.Container{ID: "a", Class: prof.Class, Inst: prof.NewInstance(nil)}
-	if err := cl.GPUs()[0].Place(0, c, 3000); err != nil {
-		t.Fatal(err)
-	}
-	for now := sim.Time(0); now < sim.Second; now += 10 * sim.Millisecond {
-		cl.Tick(now, 10*sim.Millisecond)
-		mon.Sample(now)
-	}
-
-	var clock atomic.Int64
-	clock.Store(int64(sim.Second))
-	var stop atomic.Bool
-	var ww sync.WaitGroup
-	ww.Add(1)
-	go func() { // writer: heartbeat sampler
-		defer ww.Done()
-		for i := 0; i < 500; i++ {
-			mon.Sample(sim.Time(clock.Add(int64(10 * sim.Millisecond))))
-		}
-		stop.Store(true)
-	}()
-
-	var wg sync.WaitGroup
-	for f := 0; f < fetchers; f++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				stats, err := ra.Fetch(sim.Time(clock.Load()))
-				if err != nil {
-					t.Errorf("fetch: %v", err)
-					return
-				}
-				if len(stats) != 3 {
-					t.Errorf("fetch returned %d nodes, want 3", len(stats))
-					return
-				}
-			}
-		}()
-	}
-	ww.Wait()
-	wg.Wait()
-
-	stats, err := ra.Fetch(sim.Time(clock.Load()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	perNode := len(cl.NodeGPUs(0))
-	for _, ns := range stats {
-		if len(ns.Devices) != perNode || len(ns.Windows) != perNode {
-			t.Fatalf("node %d: %d devices / %d windows, want %d", ns.Node, len(ns.Devices), len(ns.Windows), perNode)
-		}
-		for _, w := range ns.Windows {
-			for _, m := range Metrics {
-				if len(w.Series[m]) == 0 {
-					t.Fatalf("node %d gpu %s: empty %s series after sampling", ns.Node, w.GPU, m)
-				}
-			}
-		}
-	}
-}
-
-// TestRemoteFetchRacesNodeDeathRevival races head-node fetches against
-// telemetry death and revival: a chaos goroutine keeps flipping node
-// monitors down (their NodeServers answer 503) and back up while samplers
-// heartbeat and many aggregators fetch. Run under -race. Every fetch must
-// return one entry per endpoint, each either live, a Stale cache hit, or
-// Missing — a dying node may never abort the surviving cluster view.
-func TestRemoteFetchRacesNodeDeathRevival(t *testing.T) {
-	const (
-		nodes    = 3
-		fetchers = 4
-		flips    = 200
-	)
-	cl, mon, ra, closeAll := remoteRig(t, nodes)
-	defer closeAll()
-	fastRetry(ra)
-
-	prof := workloads.RodiniaProfile(workloads.KMeans)
-	c := &cluster.Container{ID: "a", Class: prof.Class, Inst: prof.NewInstance(nil)}
-	if err := cl.GPUs()[0].Place(0, c, 3000); err != nil {
-		t.Fatal(err)
-	}
-	for now := sim.Time(0); now < sim.Second; now += 10 * sim.Millisecond {
-		cl.Tick(now, 10*sim.Millisecond)
-		mon.Sample(now)
-	}
-	// Node 0 stays permanently alive so Fetch always has a live entry and
-	// never reports the all-workers-unreachable error mid-race.
-	var clock atomic.Int64
-	clock.Store(int64(sim.Second))
-	var stop atomic.Bool
-
-	var chaosWG sync.WaitGroup
-	chaosWG.Add(1)
-	go func() { // killer/reviver: nodes 1..n-1 flap
-		defer chaosWG.Done()
-		for i := 0; i < flips; i++ {
-			node := 1 + i%(nodes-1)
-			mon.SetNodeDown(node, i%2 == 0)
-			mon.Sample(sim.Time(clock.Add(int64(10 * sim.Millisecond))))
-		}
-		// Revive everyone for the final serial check.
-		for n := 1; n < nodes; n++ {
-			mon.SetNodeDown(n, false)
-		}
-		stop.Store(true)
-	}()
-
-	var wg sync.WaitGroup
-	for f := 0; f < fetchers; f++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				stats, err := ra.Fetch(sim.Time(clock.Load()))
-				if err != nil {
-					t.Errorf("fetch aborted during node flap: %v", err)
-					return
-				}
-				if len(stats) != nodes {
-					t.Errorf("fetch returned %d entries, want %d", len(stats), nodes)
-					return
-				}
-				if stats[0].Missing || stats[0].Stale {
-					t.Errorf("always-alive node degraded: %+v", stats[0])
-					return
-				}
-				for _, ns := range stats {
-					if !ns.Missing && !ns.Stale && len(ns.Devices) == 0 {
-						t.Errorf("live entry with no devices: %+v", ns)
-						return
-					}
-				}
-			}
-		}()
-	}
-	chaosWG.Wait()
-	wg.Wait()
-
-	mon.Sample(sim.Time(clock.Add(int64(10 * sim.Millisecond))))
-	stats, err := ra.Fetch(sim.Time(clock.Load()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ns := range stats {
-		if ns.Missing || ns.Stale {
-			t.Fatalf("node %d still degraded after full revival: %+v", ns.Node, ns)
-		}
-	}
-}

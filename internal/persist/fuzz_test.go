@@ -5,27 +5,22 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"kubeknots/internal/scheduler"
 )
 
 // FuzzSnapshotRoundTrip feeds arbitrary bytes into DecodeSnapshot. Whatever
 // decodes must re-encode and decode again to the same bytes (the format is
 // canonical), and nothing may panic.
 func FuzzSnapshotRoundTrip(f *testing.F) {
-	// Seed with real encodings: empty-state, command-bearing, and a harvest
-	// snapshot, plus a corrupted variant to steer the fuzzer at the CRC.
+	// Seed with real encodings: an empty-state checkpoint and one covering a
+	// harvest workload, plus a corrupted variant to steer the fuzzer at the
+	// CRC.
 	empty, err := EncodeSnapshot(&Snapshot{Boot: testBoot(), State: &State{}})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(empty)
 	cmds := testCommands()
-	o, hctl, err := Replay(testBoot(), &scheduler.PP{}, cmds)
-	if err != nil {
-		f.Fatal(err)
-	}
-	full, err := EncodeSnapshot(&Snapshot{Boot: testBoot(), Cmds: cmds, State: CaptureState(o, hctl)})
+	full, err := EncodeSnapshot(&Snapshot{Boot: testBoot(), Covers: uint64(len(cmds)), State: CaptureState(replay(f, cmds))})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -33,7 +28,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	bad := append([]byte(nil), full...)
 	bad[len(bad)/2] ^= 0xA5
 	f.Add(bad)
-	f.Add([]byte("KKSNAP01"))
+	f.Add([]byte("KKSNAP02"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -96,7 +91,7 @@ func FuzzWALReplay(f *testing.F) {
 func encodeWALBytes(f *testing.F, recs []Record) []byte {
 	f.Helper()
 	path := filepath.Join(f.TempDir(), "wal.kkw")
-	w, err := openWAL(path, 1, 0)
+	w, err := openWAL(path)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -3,142 +3,145 @@ package persist
 import (
 	"fmt"
 	"sync"
+
+	"kubeknots/internal/harvest"
+	"kubeknots/internal/k8s"
 )
 
 // ManagerOption configures a Manager.
 type ManagerOption func(*Manager)
 
-// WithSnapshotEvery auto-snapshots after every n journaled commands
+// WithSnapshotEvery writes a checkpoint after every n journaled commands
 // (0 = only on demand / shutdown).
 func WithSnapshotEvery(n int) ManagerOption {
 	return func(m *Manager) { m.snapshotEvery = n }
 }
 
-// WithSyncEvery batches WAL fsyncs to one flush per n appends.
-func WithSyncEvery(n int) ManagerOption {
-	return func(m *Manager) { m.syncEvery = n }
-}
-
-// Manager owns a daemon's state directory: it carries the recovery inputs
-// found at open (last snapshot + WAL tail), journals every accepted command,
-// and rotates the WAL into a fresh snapshot on the configured cadence.
+// Manager owns a daemon's state directory: it carries the checkpoint and
+// journal found at open, journals every accepted command, and writes a
+// fresh checkpoint on the configured cadence.
 //
-// Lifecycle: Open → Recovery (replay by the caller) → StartJournal →
-// Append per command, WriteSnapshot when SnapshotDue → Close.
+// Lifecycle: Open → Resume (replay, verify, start journaling) → Append per
+// command, WriteSnapshot when SnapshotDue → Close.
 type Manager struct {
 	mu            sync.Mutex
 	store         *Store
 	boot          Bootstrap
 	snapshotEvery int
-	syncEvery     int
 
-	// cmds is the full command history: the recovered prefix plus every
-	// Append since. It becomes the Cmds section of the next snapshot.
-	cmds []Record
-	// sinceSnapshot counts commands journaled since the last snapshot.
+	// commands is the journal length: records recovered plus appended.
+	commands uint64
+	// sinceSnapshot counts commands journaled since the last checkpoint.
 	sinceSnapshot int
 
-	wal     *WAL
+	// loaded and journal are the recovery inputs found at Open, released
+	// by Resume.
 	loaded  *Snapshot
-	walTail []Record
-	walTorn bool
-	journal bool
-	stats   Stats
+	journal []Record
+
+	wal   *WAL
+	stats Stats
 }
 
 // Stats is the /v1/state wire view of the persistence layer.
 type Stats struct {
 	Dir               string `json:"dir"`
 	Commands          int    `json:"commands"`
-	WALRecords        int    `json:"wal_records"`
 	SnapshotsWritten  int    `json:"snapshots_written"`
 	LastSnapshotBytes int    `json:"last_snapshot_bytes,omitempty"`
 	RecoveredCommands int    `json:"recovered_commands"`
 	RecoveredTorn     bool   `json:"recovered_torn_tail,omitempty"`
-	// RecoveredSkipped counts WAL records dropped at recovery because the
-	// snapshot had already absorbed them (crash between snapshot rename
-	// and WAL reset).
-	RecoveredSkipped int `json:"recovered_skipped,omitempty"`
 }
 
-// Open loads the state directory and validates any existing snapshot
-// against boot: recovering into a differently-configured control plane
-// would replay commands onto the wrong trajectory, so it is refused.
+// Open loads the state directory and validates its checkpoint against
+// boot: recovering into a differently-configured control plane would
+// replay commands onto the wrong trajectory, so it is refused.
 func Open(dir string, boot Bootstrap, opts ...ManagerOption) (*Manager, error) {
 	store, err := OpenStore(dir)
 	if err != nil {
 		return nil, err
 	}
-	m := &Manager{store: store, boot: boot, syncEvery: 1}
+	m := &Manager{store: store, boot: boot}
 	for _, opt := range opts {
 		opt(m)
 	}
-	snap, err := store.LoadSnapshot()
+	ckpt, journal, torn, err := load(store)
 	if err != nil {
 		return nil, err
 	}
-	if snap != nil && !snap.Boot.Equal(boot) {
+	if ckpt != nil && !ckpt.Boot.Equal(boot) {
 		return nil, fmt.Errorf("persist: state dir %s was written by a different control plane: stored %s, running %s",
-			dir, mustJSON(snap.Boot), mustJSON(boot))
+			dir, mustJSON(ckpt.Boot), mustJSON(boot))
 	}
-	tail, torn, err := store.LoadWAL()
-	if err != nil {
-		return nil, err
+	m.loaded, m.journal = ckpt, journal
+	m.commands = uint64(len(journal))
+	if ckpt != nil {
+		// Records past the checkpoint count toward the next one, so a
+		// server restarted more often than the cadence still checkpoints.
+		m.sinceSnapshot = len(journal) - int(ckpt.Covers)
 	}
-	// WAL sequence numbers are absolute command indices, so records the
-	// snapshot already absorbed (a crash landed between the snapshot rename
-	// and the WAL reset) are recognized and skipped instead of re-applied.
-	// A gap above the snapshot's count means fsync-acknowledged commands
-	// vanished — refuse to recover onto a forked history.
-	base := uint64(0)
-	if snap != nil {
-		base = uint64(len(snap.Cmds))
-	}
-	skipped := 0
-	var kept []Record
-	for _, rec := range tail {
-		if rec.Seq <= base {
-			skipped++
-			continue
-		}
-		if want := base + uint64(len(kept)) + 1; rec.Seq != want {
-			return nil, fmt.Errorf("persist: WAL gap in %s: record seq %d, want %d", dir, rec.Seq, want)
-		}
-		kept = append(kept, rec)
-	}
-	m.loaded, m.walTail, m.walTorn = snap, kept, torn
-	if snap != nil {
-		m.cmds = append(m.cmds, snap.Cmds...)
-	}
-	m.cmds = append(m.cmds, kept...)
-	m.sinceSnapshot = len(kept)
-	m.stats = Stats{
-		Dir:               dir,
-		RecoveredCommands: len(m.cmds),
-		RecoveredTorn:     torn,
-		RecoveredSkipped:  skipped,
-	}
+	m.stats = Stats{Dir: dir, RecoveredCommands: len(journal), RecoveredTorn: torn}
 	return m, nil
 }
 
-// Recovery returns the snapshot and WAL tail found at Open, for the caller
-// to replay (snapshot commands first, then the tail). Nil snapshot and an
-// empty tail mean a fresh directory.
-func (m *Manager) Recovery() (*Snapshot, []Record) { return m.loaded, m.walTail }
+// load reads a state directory's checkpoint and journal and checks that
+// they describe one history: a journal needs a checkpoint to name its
+// control plane, its sequence numbers run 1..M without a gap, and it holds
+// at least the N records the checkpoint covers.
+func load(store *Store) (ckpt *Snapshot, journal []Record, torn bool, err error) {
+	if ckpt, err = store.LoadSnapshot(); err != nil {
+		return nil, nil, false, err
+	}
+	if journal, torn, err = store.LoadWAL(); err != nil {
+		return nil, nil, false, err
+	}
+	if ckpt == nil && len(journal) > 0 {
+		return nil, nil, false, fmt.Errorf("persist: %s holds a journal of %d records but no checkpoint naming its control plane",
+			store.Dir(), len(journal))
+	}
+	for i, rec := range journal {
+		if want := uint64(i) + 1; rec.Seq != want {
+			return nil, nil, false, fmt.Errorf("persist: WAL gap in %s: record seq %d, want %d", store.Dir(), rec.Seq, want)
+		}
+	}
+	if ckpt != nil && uint64(len(journal)) < ckpt.Covers {
+		return nil, nil, false, fmt.Errorf("persist: %s journal holds %d records but the checkpoint covers %d: acknowledged commands were lost",
+			store.Dir(), len(journal), ckpt.Covers)
+	}
+	return ckpt, journal, torn, nil
+}
 
-// StartJournal opens the WAL for appending — any torn tail is truncated
-// away first, so new records extend the intact prefix. Call after recovery
-// replay has finished; Append before StartJournal is an error.
-func (m *Manager) StartJournal() error {
+// Resume brings the control plane o (with its harvest controller hctl,
+// possibly nil) — freshly built from the Manager's Bootstrap, nothing
+// submitted — up to the end of the journal: it replays records 1..N,
+// byte-verifies the result against the checkpoint's State, and replays
+// N+1..M. onSubmit, if set, sees every pod a replayed submission creates.
+// On a fresh directory it then writes a checkpoint at N=0, so the journal
+// never holds a command without its Bootstrap on disk. Finally it opens
+// the journal for appending, truncating any torn tail. Returns the number
+// of commands replayed.
+func (m *Manager) Resume(o *k8s.Orchestrator, hctl *harvest.Controller, onSubmit func(*k8s.Pod)) (int, error) {
+	m.mu.Lock()
+	ckpt, journal := m.loaded, m.journal
+	m.loaded, m.journal = nil, nil
+	m.mu.Unlock()
+	if err := replayJournal(o, hctl, ckpt, journal, onSubmit); err != nil {
+		return 0, err
+	}
+	mRecovered.Add(float64(len(journal)))
+	if ckpt == nil {
+		if err := m.WriteSnapshot(CaptureState(o, hctl)); err != nil {
+			return len(journal), err
+		}
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	wal, err := m.store.AppendWAL(m.syncEvery, uint64(len(m.cmds)))
+	wal, err := openWAL(m.store.WALPath())
 	if err != nil {
-		return err
+		return len(journal), err
 	}
 	m.wal = wal
-	m.journal = true
-	return nil
+	return len(journal), nil
 }
 
 // Append journals one accepted command. Write-ahead discipline: the caller
@@ -146,49 +149,40 @@ func (m *Manager) StartJournal() error {
 func (m *Manager) Append(rec Record) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.journal {
-		return fmt.Errorf("persist: Append before StartJournal")
+	if m.wal == nil {
+		return fmt.Errorf("persist: Append before Resume")
 	}
-	rec.Seq = uint64(len(m.cmds)) + 1 // matches the seq the WAL assigns
 	if err := m.wal.Append(rec); err != nil {
 		mErrors.Inc()
 		return err
 	}
 	mWALRecords.With(recordTypeName(rec.Type)).Inc()
-	m.cmds = append(m.cmds, rec)
+	m.commands++
 	m.sinceSnapshot++
 	return nil
 }
 
-// SnapshotDue reports whether the auto-snapshot cadence has elapsed.
+// SnapshotDue reports whether the checkpoint cadence has elapsed.
 func (m *Manager) SnapshotDue() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.snapshotEvery > 0 && m.sinceSnapshot >= m.snapshotEvery
 }
 
-// WriteSnapshot durably absorbs the full command history plus the given
-// state, then resets the WAL. On success the WAL is empty and the snapshot
-// alone reproduces the control plane. A crash (or Reset failure) between
-// the snapshot publish and the WAL reset is benign: recovery skips WAL
-// records whose sequence number the snapshot already covers.
+// WriteSnapshot durably replaces the checkpoint with st, the state after
+// every command journaled so far. The journal is left as it is: each of
+// those commands was fsynced before Append returned, so the journal always
+// holds at least the records a published checkpoint covers.
 func (m *Manager) WriteSnapshot(st *State) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n, err := m.store.WriteSnapshot(&Snapshot{
-		Boot:  m.boot,
-		Cmds:  append([]Record(nil), m.cmds...),
-		State: st,
-	})
+	n, err := m.store.WriteSnapshot(&Snapshot{Boot: m.boot, Covers: m.commands, State: st})
 	if err != nil {
 		return err
 	}
 	m.stats.SnapshotsWritten++
 	m.stats.LastSnapshotBytes = n
 	m.sinceSnapshot = 0
-	if m.wal != nil {
-		return m.wal.Reset()
-	}
 	return nil
 }
 
@@ -197,14 +191,11 @@ func (m *Manager) StatsSnapshot() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := m.stats
-	st.Commands = len(m.cmds)
-	if m.wal != nil {
-		st.WALRecords = m.wal.Records()
-	}
+	st.Commands = int(m.commands)
 	return st
 }
 
-// Close flushes and closes the WAL.
+// Close closes the journal.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -213,6 +204,5 @@ func (m *Manager) Close() error {
 	}
 	err := m.wal.Close()
 	m.wal = nil
-	m.journal = false
 	return err
 }

@@ -15,7 +15,7 @@ var (
 	mWALRecords = obs.Default().CounterVec("persist_wal_records_total",
 		"Commands appended to the write-ahead log.", "type")
 	mWALFsyncs = obs.Default().Counter("persist_wal_fsyncs_total",
-		"WAL fsync batches flushed.")
+		"WAL fsyncs, one per appended record.")
 	mRecovered = obs.Default().Counter("persist_recovery_replayed_total",
 		"Commands replayed during crash recovery.")
 	mErrors = obs.Default().Counter("persist_errors_total",

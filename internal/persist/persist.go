@@ -1,22 +1,25 @@
-// Package persist makes the control plane durable: a deterministic state
-// snapshot plus a write-ahead log, so a crashed apiserver (or a killed
+// Package persist makes the control plane durable: an append-only command
+// journal plus a small checkpoint, so a crashed apiserver (or a killed
 // experiment run) recovers to byte-identical state.
 //
 // The simulation engine's pending events are Go closures and cannot be
-// serialized, so recovery is replay-based: a snapshot carries (a) the
-// Bootstrap — everything needed to reconstruct the control plane from its
-// seed — and (b) the full command history (pod submissions and /advance
-// steps). Replaying the commands through a freshly built control plane
+// serialized, so recovery is replay-based. The journal (the WAL) is the
+// only record of commands (pod submissions and /advance steps): it is
+// appended to for the life of the state directory and never reset.
+// Replaying it through a control plane freshly built from its Bootstrap —
+// everything needed to reconstruct the control plane from its seed —
 // reproduces the exact event sequence, RNG draws and tie-breaks of the
-// original run. The snapshot additionally carries a serialized State — the
-// observable control-plane state at capture time — which is compared
-// byte-for-byte against the replayed state to *prove* the recovery landed
-// on the same trajectory, and which `knotsctl state inspect` can read
-// offline without replaying anything.
+// original run.
 //
-// The WAL holds the commands accepted since the last snapshot; recovery is
-// load snapshot → replay its commands → verify → replay the WAL tail. A
-// torn final record (crash mid-write) is detected by its CRC and dropped.
+// The checkpoint (the snapshot file) holds the Bootstrap, the number N of
+// journal records it covers and the serialized State those N records
+// produce — the observable control-plane state, which `knotsctl state
+// inspect` can read offline without replaying anything. Recovery is: load
+// the checkpoint at N and the journal 1..M, refuse if M < N (acknowledged
+// commands were lost), replay 1..N, byte-compare against the checkpoint's
+// State to prove the replay landed on the same trajectory, then replay
+// N+1..M. A torn final record (crash mid-write) is detected by its CRC and
+// dropped.
 package persist
 
 import (
@@ -28,8 +31,8 @@ import (
 )
 
 // Bootstrap captures everything needed to rebuild a control plane from
-// scratch. Stored as JSON inside the snapshot so the format survives field
-// additions.
+// scratch. Stored as JSON inside the checkpoint so the format survives
+// field additions.
 type Bootstrap struct {
 	// Kind is "apiserver", "knotsd" or "experiment".
 	Kind string `json:"kind"`
@@ -75,11 +78,8 @@ type Record struct {
 	Manifest []byte
 	// MS is the advance step (RecordAdvance).
 	MS int64
-	// Seq is the absolute 1-based command index, assigned by the WAL when
-	// the record is journaled. Snapshot command lists carry 0 — there the
-	// position is the sequence. Recovery uses Seq to skip WAL records a
-	// snapshot already absorbed (a crash between the snapshot rename and
-	// the WAL reset leaves both holding the same commands).
+	// Seq is the record's 1-based journal position, assigned by the WAL
+	// when the record is journaled.
 	Seq uint64
 }
 

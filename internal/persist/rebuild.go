@@ -71,21 +71,71 @@ func ApplyRecord(o *k8s.Orchestrator, rec Record) (*k8s.Pod, error) {
 	}
 }
 
-// Replay rebuilds a control plane from boot and re-executes cmds. Used by
-// `knotsctl state verify|compact` for offline verification.
-func Replay(boot Bootstrap, sched k8s.Scheduler, cmds []Record) (*k8s.Orchestrator, *harvest.Controller, error) {
-	orch, hctl, err := Rebuild(boot, sched)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i, rec := range cmds {
-		if _, err := ApplyRecord(orch, rec); err != nil {
-			return nil, nil, fmt.Errorf("command %d/%d: %w", i+1, len(cmds), err)
+// replayJournal re-executes a recovered journal against o: records 1..N of
+// the checkpoint ckpt (nil on a fresh directory, N=0), a byte-identity
+// check of the result against ckpt.State, then the rest. Any divergence —
+// a code change that altered simulation behaviour, a damaged journal —
+// fails here instead of silently forking history.
+func replayJournal(o *k8s.Orchestrator, hctl *harvest.Controller, ckpt *Snapshot, journal []Record, onSubmit func(*k8s.Pod)) error {
+	apply := func(recs []Record) error {
+		for _, rec := range recs {
+			pod, err := ApplyRecord(o, rec)
+			if err != nil {
+				return fmt.Errorf("replay command %d/%d: %w", rec.Seq, len(journal), err)
+			}
+			if pod != nil && onSubmit != nil {
+				onSubmit(pod)
+			}
 		}
+		return nil
 	}
-	return orch, hctl, nil
+	if ckpt == nil {
+		return apply(journal)
+	}
+	if err := apply(journal[:ckpt.Covers]); err != nil {
+		return err
+	}
+	if err := VerifyState(CaptureState(o, hctl), ckpt.State); err != nil {
+		return fmt.Errorf("checkpoint verification at record %d: %w", ckpt.Covers, err)
+	}
+	return apply(journal[ckpt.Covers:])
 }
 
-// ReplayedMetric adds n to the recovery counter; exported so the API server
-// can account its own replay.
-func ReplayedMetric(n int) { mRecovered.Add(float64(n)) }
+// Verification is what VerifyDir checked.
+type Verification struct {
+	// Covers is the journal position of the checkpoint that was matched.
+	Covers uint64
+	// Journal is the number of intact journal records replayed.
+	Journal int
+	// Torn reports a torn final record, dropped.
+	Torn bool
+}
+
+// VerifyDir replays an apiserver state directory offline, the same way
+// recovery does, without writing to it: the journal's first N records must
+// reproduce the checkpoint's State byte for byte and the rest must apply.
+// scheduler resolves the Bootstrap's scheduler name.
+func VerifyDir(dir string, scheduler func(name string) (k8s.Scheduler, error)) (Verification, error) {
+	ckpt, journal, torn, err := load(&Store{dir: dir})
+	if err != nil {
+		return Verification{}, err
+	}
+	if ckpt == nil {
+		return Verification{}, fmt.Errorf("no snapshot in %s", dir)
+	}
+	if ckpt.Boot.Kind != "apiserver" {
+		return Verification{}, fmt.Errorf("verify supports apiserver state (this dir is %q); it has no command journal", ckpt.Boot.Kind)
+	}
+	sched, err := scheduler(ckpt.Boot.Scheduler)
+	if err != nil {
+		return Verification{}, err
+	}
+	o, hctl, err := Rebuild(ckpt.Boot, sched)
+	if err != nil {
+		return Verification{}, err
+	}
+	if err := replayJournal(o, hctl, ckpt, journal, nil); err != nil {
+		return Verification{}, err
+	}
+	return Verification{Covers: ckpt.Covers, Journal: len(journal), Torn: torn}, nil
+}

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -9,24 +10,28 @@ import (
 
 // snapshotMagic versions the container format; a layout change bumps the
 // trailing digits and old files are rejected loudly instead of misparsed.
-var snapshotMagic = []byte("KKSNAP01")
+// KKSNAP02 replaced the command-history section with the journal position.
+var snapshotMagic = []byte("KKSNAP02")
 
 // Section tags. Each section is [4-byte tag][uint32 length][payload]; the
 // CRCF footer carries a CRC32 (IEEE) over every byte before its own tag.
 var (
 	tagBoot  = [4]byte{'B', 'O', 'O', 'T'}
-	tagCmds  = [4]byte{'C', 'M', 'D', 'S'}
+	tagJrnl  = [4]byte{'J', 'R', 'N', 'L'}
 	tagState = [4]byte{'S', 'T', 'A', 'T'}
 	tagCRC   = [4]byte{'C', 'R', 'C', 'F'}
 )
 
 // Snapshot is one durable control-plane checkpoint: the bootstrap recipe,
-// the full command history up to the capture point, and the serialized
-// observable state used to verify a replay.
+// the number of journal records it covers, and the serialized observable
+// state those records produce, used to verify a replay. Its size depends on
+// the state, not on how long the history is.
 type Snapshot struct {
-	Boot  Bootstrap
-	Cmds  []Record
-	State *State
+	Boot Bootstrap
+	// Covers is the journal position N: replaying records 1..N from Boot
+	// lands on State. 0 for snapshots without a journal (knotsd, runs).
+	Covers uint64
+	State  *State
 }
 
 // EncodeSnapshot serializes a snapshot into the versioned, length-prefixed
@@ -44,15 +49,7 @@ func EncodeSnapshot(snap *Snapshot) ([]byte, error) {
 
 	section(tagBoot, mustJSON(snap.Boot))
 
-	cw := &writer{}
-	cw.u32(uint32(len(snap.Cmds)))
-	for _, rec := range snap.Cmds {
-		if err := rec.validate(); err != nil {
-			return nil, err
-		}
-		cw.buf = appendRecord(cw.buf, rec)
-	}
-	section(tagCmds, cw.buf)
+	section(tagJrnl, binary.LittleEndian.AppendUint64(nil, snap.Covers))
 
 	section(tagState, EncodeState(snap.State))
 
@@ -70,7 +67,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	}
 	r := &reader{b: data, off: len(snapshotMagic)}
 	snap := &Snapshot{}
-	var sawBoot, sawState, sawCRC bool
+	var sawBoot, sawJrnl, sawState, sawCRC bool
 	for r.err == nil && r.off < len(data) {
 		tagStart := r.off
 		var tag [4]byte
@@ -85,12 +82,12 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 				return nil, fmt.Errorf("persist: decode bootstrap: %w", err)
 			}
 			sawBoot = true
-		case tagCmds:
-			cmds, err := decodeRecords(payload)
-			if err != nil {
-				return nil, err
+		case tagJrnl:
+			if len(payload) != 8 {
+				return nil, fmt.Errorf("persist: malformed journal position")
 			}
-			snap.Cmds = cmds
+			snap.Covers = binary.LittleEndian.Uint64(payload)
+			sawJrnl = true
 		case tagState:
 			st, err := DecodeState(payload)
 			if err != nil {
@@ -121,7 +118,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if !sawCRC {
 		return nil, fmt.Errorf("persist: snapshot missing CRC footer")
 	}
-	if !sawBoot || !sawState {
+	if !sawBoot || !sawJrnl || !sawState {
 		return nil, fmt.Errorf("persist: snapshot missing required sections")
 	}
 	return snap, nil
@@ -162,21 +159,4 @@ func decodeRecordPayload(r *reader) (Record, error) {
 		}
 		return Record{}, fmt.Errorf("persist: unknown record type %d", t)
 	}
-}
-
-func decodeRecords(payload []byte) ([]Record, error) {
-	r := &reader{b: payload}
-	n := r.count("commands", 2)
-	var cmds []Record
-	for i := 0; i < n && r.err == nil; i++ {
-		rec, err := decodeRecordPayload(r)
-		if err != nil {
-			return nil, err
-		}
-		cmds = append(cmds, rec)
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return cmds, nil
 }

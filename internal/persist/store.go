@@ -8,8 +8,9 @@ import (
 	"time"
 )
 
-// File names inside a state directory. A daemon keeps one snapshot and one
-// WAL; experiment sweeps write one run-scoped snapshot per grid point.
+// File names inside a state directory. A daemon keeps one snapshot (the
+// checkpoint) and one WAL (the journal); experiment sweeps write one
+// run-scoped snapshot per grid point.
 const (
 	snapshotFile = "snapshot.kks"
 	walFile      = "wal.kkw"
@@ -71,13 +72,6 @@ func (s *Store) LoadWAL() ([]Record, bool, error) {
 		return nil, false, err
 	}
 	return DecodeWAL(data)
-}
-
-// AppendWAL opens the daemon WAL for appending, truncating any torn tail
-// back to the intact prefix first. baseSeq seeds the sequence counter when
-// the log is empty or fully absorbed — pass the recovered command count.
-func (s *Store) AppendWAL(syncEvery int, baseSeq uint64) (*WAL, error) {
-	return openWAL(s.WALPath(), syncEvery, baseSeq)
 }
 
 // RunSnapshots lists the run-scoped snapshot files in the directory,
@@ -185,8 +179,7 @@ func writeSnapshotFile(path string, snap *Snapshot) (int, error) {
 		return 0, fmt.Errorf("persist: publish snapshot: %w", err)
 	}
 	// The rename itself is only durable once the directory entry is synced;
-	// without this a power loss can resurface the old snapshot after the
-	// WAL was already reset.
+	// without this a power loss can resurface the old snapshot, or none.
 	if err := syncDir(filepath.Dir(path)); err != nil {
 		return 0, fmt.Errorf("persist: sync state dir: %w", err)
 	}

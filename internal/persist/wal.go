@@ -12,33 +12,40 @@ import (
 // number; files with older magics are rejected loudly instead of misparsed.
 var walMagic = []byte("KKWAL002")
 
-// WAL is an append-only command log. Each record is framed as
+// WAL is the append-only command journal. Each record is framed as
 // [uint32 length][uint64 seq][payload][uint32 crc32(seq‖payload)], so a
 // crash mid-append leaves a torn tail that replay detects and drops instead
-// of misparsing. seq is the absolute 1-based command index of the control
-// plane, which makes replay idempotent: records a snapshot already absorbed
-// are recognizable by seq and skipped at recovery.
+// of misparsing. seq is the record's 1-based position in the journal: the
+// log is never reset, so sequence numbers start at 1 and are contiguous for
+// the life of the state directory.
 type WAL struct {
-	f *os.File
-	// syncEvery batches fsyncs: flush once per N appends (1 = every record).
-	syncEvery int
-	unsynced  int
-	records   int
-	// lastSeq is the highest sequence number in the log (or the seed base
-	// for an empty one); Append assigns lastSeq+1.
+	f journalFile
+	// lastSeq is the sequence number of the last intact record; Append
+	// assigns lastSeq+1.
 	lastSeq uint64
+	// size is the byte length of the intact journal: the header plus every
+	// acknowledged record. A failed append is rolled back to it.
+	size int64
+	// broken is set when a failed append could not be rolled back; every
+	// later Append returns it, since the file may end in a frame nobody
+	// acknowledged.
+	broken error
+}
+
+// journalFile is the part of *os.File the journal writes through.
+type journalFile interface {
+	io.Writer
+	Sync() error
+	Truncate(size int64) error
+	Close() error
 }
 
 // openWAL opens (creating if absent) the log at path for appending. An
 // empty file gets the magic header; an existing file is scanned and a torn
 // tail — the signature of a crash mid-append — is truncated back to the
-// intact prefix so later appends extend valid records, never garbage.
-// baseSeq seeds the sequence counter for an empty (or fully absorbed) log:
-// the next Append gets max(baseSeq, last intact seq)+1.
-func openWAL(path string, syncEvery int, baseSeq uint64) (*WAL, error) {
-	if syncEvery < 1 {
-		syncEvery = 1
-	}
+// intact prefix so later appends extend valid records, never garbage. That
+// is the only truncation the journal ever sees.
+func openWAL(path string) (*WAL, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("persist: open wal: %w", err)
@@ -48,7 +55,7 @@ func openWAL(path string, syncEvery int, baseSeq uint64) (*WAL, error) {
 		f.Close()
 		return nil, err
 	}
-	w := &WAL{f: f, syncEvery: syncEvery, lastSeq: baseSeq}
+	w := &WAL{f: f, size: int64(len(walMagic))}
 	if info.Size() == 0 {
 		if _, err := f.Write(walMagic); err != nil {
 			f.Close()
@@ -80,16 +87,24 @@ func openWAL(path string, syncEvery int, baseSeq uint64) (*WAL, error) {
 			return nil, fmt.Errorf("persist: drop torn wal tail: %w", err)
 		}
 	}
-	w.records = len(recs)
-	if n := len(recs); n > 0 && recs[n-1].Seq > w.lastSeq {
+	if n := len(recs); n > 0 {
 		w.lastSeq = recs[n-1].Seq
 	}
+	w.size = int64(validLen)
 	return w, nil
 }
 
-// Append frames, writes and (per the fsync batch) flushes one record,
-// assigning it the next sequence number.
+// Append frames, writes and fsyncs one record, assigning it the next
+// sequence number. The fsync per record is what lets a checkpoint trust
+// that every command it counts is already in the journal. A failed write or
+// fsync is rolled back by truncating to the intact length, so the next
+// record reuses the sequence number and no unacknowledged frame is left for
+// replay to find. If the rollback fails too, the WAL refuses every later
+// Append until it is reopened.
 func (w *WAL) Append(rec Record) error {
+	if w.broken != nil {
+		return w.broken
+	}
 	if err := rec.validate(); err != nil {
 		return err
 	}
@@ -100,62 +115,37 @@ func (w *WAL) Append(rec Record) error {
 	frame = append(frame, payload...)
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(frame[4:]))
 	if _, err := w.f.Write(frame); err != nil {
-		return fmt.Errorf("persist: wal append: %w", err)
+		return w.rollback(fmt.Errorf("persist: wal append: %w", err))
 	}
-	w.lastSeq = rec.Seq
-	w.records++
-	w.unsynced++
-	if w.unsynced >= w.syncEvery {
-		if err := w.Sync(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Sync flushes buffered appends to stable storage.
-func (w *WAL) Sync() error {
-	if w.unsynced == 0 {
-		return nil
-	}
-	w.unsynced = 0
 	mWALFsyncs.Inc()
 	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("persist: wal fsync: %w", err)
+		return w.rollback(fmt.Errorf("persist: wal fsync: %w", err))
 	}
+	w.lastSeq = rec.Seq
+	w.size += int64(len(frame))
 	return nil
 }
 
-// Records returns the number of intact records in the log (found at open
-// plus appended since, zeroed by Reset).
-func (w *WAL) Records() int { return w.records }
-
-// Reset truncates the log back to its header — called after a snapshot has
-// durably absorbed every logged command. The sequence counter is kept: it
-// numbers commands across the control plane's lifetime, not one log file.
-func (w *WAL) Reset() error {
-	if err := w.f.Truncate(int64(len(walMagic))); err != nil {
-		return fmt.Errorf("persist: wal reset: %w", err)
+// rollback drops whatever a failed Append left past the intact length and
+// returns cause; if that fails, the WAL is marked broken.
+func (w *WAL) rollback(cause error) error {
+	err := w.f.Truncate(w.size)
+	if err == nil {
+		err = w.f.Sync()
 	}
-	// O_APPEND writes always land at EOF, but keep the offset honest for
-	// any future non-append use of the handle.
-	if _, err := w.f.Seek(int64(len(walMagic)), io.SeekStart); err != nil {
-		return err
+	if err != nil {
+		w.broken = fmt.Errorf("persist: wal unusable after a failed append (%v) could not be rolled back: %w", cause, err)
+		return w.broken
 	}
-	w.records = 0
-	w.unsynced = 0
-	return w.f.Sync()
+	return cause
 }
 
-// Close flushes and closes the log.
+// Close closes the log. Every appended record is already on stable storage.
 func (w *WAL) Close() error {
 	if w.f == nil {
 		return nil
 	}
-	err := w.Sync()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
+	err := w.f.Close()
 	w.f = nil
 	return err
 }
